@@ -5,6 +5,7 @@
 package hls_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,11 +20,11 @@ import (
 
 var printOnce sync.Map
 
-func printTableOnce(key string, fn func() (*report.Table, error), b *testing.B) {
+func printTableOnce(key string, fn func(context.Context) (*report.Table, error), b *testing.B) {
 	if _, done := printOnce.LoadOrStore(key, true); done {
 		return
 	}
-	t, err := fn()
+	t, err := fn(context.Background())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -33,10 +34,10 @@ func printTableOnce(key string, fn func() (*report.Table, error), b *testing.B) 
 // BenchmarkTable1 regenerates Table 1: MFS functional-unit mixes for the
 // six literature examples across their time constraints.
 func BenchmarkTable1(b *testing.B) {
-	printTableOnce("table1", experiments.Table1, b)
+	printTableOnce("table1", experiments.Table1Ctx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table1(); err != nil {
+		if _, err := experiments.Table1Ctx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,10 +46,10 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates Table 2: MFSA RTL results (ALU set, cost,
 // registers, multiplexers) in both design styles.
 func BenchmarkTable2(b *testing.B) {
-	printTableOnce("table2", experiments.Table2, b)
+	printTableOnce("table2", experiments.Table2Ctx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(); err != nil {
+		if _, err := experiments.Table2Ctx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,10 +58,10 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkBaselineComparison regenerates the §6 comparison of MFS/MFSA
 // against force-directed scheduling with naive allocation.
 func BenchmarkBaselineComparison(b *testing.B) {
-	printTableOnce("compare", experiments.Compare, b)
+	printTableOnce("compare", experiments.CompareCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Compare(); err != nil {
+		if _, err := experiments.CompareCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,10 +70,10 @@ func BenchmarkBaselineComparison(b *testing.B) {
 // BenchmarkStyleOverhead regenerates the style-2-vs-style-1 cost
 // overhead study (§6: 2–11% in the paper).
 func BenchmarkStyleOverhead(b *testing.B) {
-	printTableOnce("style", experiments.StyleOverhead, b)
+	printTableOnce("style", experiments.StyleOverheadCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.StyleOverhead(); err != nil {
+		if _, err := experiments.StyleOverheadCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -135,7 +136,7 @@ func BenchmarkMFSARuntime(b *testing.B) {
 		b.Run(ex.Name, func(b *testing.B) {
 			opt := mfsa.Options{CS: ex.TimeConstraints[0], ClockNs: ex.ClockNs}
 			for i := 0; i < b.N; i++ {
-				if _, err := mfsa.Synthesize(ex.Graph, opt); err != nil {
+				if _, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, opt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -145,10 +146,10 @@ func BenchmarkMFSARuntime(b *testing.B) {
 
 // BenchmarkAblationLiapunov regenerates the guiding-function ablation.
 func BenchmarkAblationLiapunov(b *testing.B) {
-	printTableOnce("abl-liapunov", experiments.AblationLiapunov, b)
+	printTableOnce("abl-liapunov", experiments.AblationLiapunovCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationLiapunov(); err != nil {
+		if _, err := experiments.AblationLiapunovCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -156,10 +157,10 @@ func BenchmarkAblationLiapunov(b *testing.B) {
 
 // BenchmarkAblationWeights regenerates the MFSA Liapunov-term ablation.
 func BenchmarkAblationWeights(b *testing.B) {
-	printTableOnce("abl-weights", experiments.AblationWeights, b)
+	printTableOnce("abl-weights", experiments.AblationWeightsCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationWeights(); err != nil {
+		if _, err := experiments.AblationWeightsCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,10 +168,10 @@ func BenchmarkAblationWeights(b *testing.B) {
 
 // BenchmarkAblationRedundantFrame regenerates the RF-mechanism ablation.
 func BenchmarkAblationRedundantFrame(b *testing.B) {
-	printTableOnce("abl-rf", experiments.AblationRedundantFrame, b)
+	printTableOnce("abl-rf", experiments.AblationRedundantFrameCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationRedundantFrame(); err != nil {
+		if _, err := experiments.AblationRedundantFrameCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -178,7 +179,7 @@ func BenchmarkAblationRedundantFrame(b *testing.B) {
 
 // sweepBenchRange is the diffeq cs range both sweep benchmarks cover —
 // critical path through critical path + 12, the same window
-// experiments.MeasurePerf records in BENCH_sweep.json.
+// experiments.MeasurePerfCtx records in BENCH_sweep.json.
 func sweepBenchRange() (*benchmarks.Example, int, int) {
 	ex := benchmarks.Diffeq()
 	cp := ex.Graph.CriticalPathCycles()
@@ -212,10 +213,10 @@ func BenchmarkParallelSweep(b *testing.B) {
 // BenchmarkPhases regenerates the simultaneous-vs-sequential phase
 // comparison (the paper's §1 motivation).
 func BenchmarkPhases(b *testing.B) {
-	printTableOnce("phases", experiments.Phases, b)
+	printTableOnce("phases", experiments.PhasesCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Phases(); err != nil {
+		if _, err := experiments.PhasesCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,10 +224,10 @@ func BenchmarkPhases(b *testing.B) {
 
 // BenchmarkInterconnect regenerates the §5.7 interconnect-sharing study.
 func BenchmarkInterconnect(b *testing.B) {
-	printTableOnce("interconnect", experiments.Interconnect, b)
+	printTableOnce("interconnect", experiments.InterconnectCtx, b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Interconnect(); err != nil {
+		if _, err := experiments.InterconnectCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,14 +30,6 @@
 //	hlsbench -scale -maxnodes 10000       # committed-baseline subset
 //	hlsbench -scale -out fresh.json -compare BENCH_scale.json
 //
-// -noindex disables the grid occupancy index for the whole run (every
-// mode), falling back to the per-cell CanPlace walks. It is the A/B
-// control for the word-scan placement walks; -json and -scale snapshots
-// record it in a "noindex" field so the two populations cannot be
-// conflated:
-//
-//	hlsbench -scale -maxnodes 1000 -noindex -out noindex.json
-//
 // With -serve it instead load-tests the hlsd daemon in-process: warm
 // every distinct benchmark request, then replay them from a thousand
 // concurrent clients, and write the hit-path latency percentiles, hit
@@ -68,7 +60,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/grid"
 	"repro/internal/report"
 )
 
@@ -86,7 +77,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	outPath := fs.String("out", "", "output path for -json, -scale, or -serve (default BENCH_sweep.json, BENCH_scale.json, or BENCH_serve.json)")
 	compare := fs.String("compare", "", "with -json, -scale, or -serve: print the per-metric delta table against this committed baseline and fail if any fresh wall time exceeds it by more than -tolerance")
 	tolerance := fs.Float64("tolerance", 3, "with -compare: allowed slowdown factor per measurement")
-	noIndex := fs.Bool("noindex", false, "disable the grid occupancy index (A/B baseline for the word-scan placement walks); recorded in the -json/-scale snapshot")
 	timeout := cli.Timeout(fs)
 	prof := cli.Profile(fs)
 	if err := fs.Parse(args); err != nil {
@@ -99,10 +89,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	defer stopProf()
 	ctx, cancel := cli.WithTimeout(ctx, *timeout)
 	defer cancel()
-	if *noIndex {
-		grid.DisableIndex = true
-		defer func() { grid.DisableIndex = false }()
-	}
 
 	modes := 0
 	for _, on := range []bool{*jsonOut, *scale, *serveBench, *vetBench} {

@@ -37,13 +37,11 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/behav"
 	"repro/internal/core"
-	"repro/internal/ctrl"
 	"repro/internal/dfg"
 	"repro/internal/diag"
 	"repro/internal/guard"
 	"repro/internal/library"
 	"repro/internal/lint"
-	"repro/internal/mfsa"
 	"repro/internal/op"
 	"repro/internal/rtl"
 	"repro/internal/sched"
@@ -165,12 +163,11 @@ type (
 	Cost = rtl.Cost
 )
 
-// Schedule runs Move Frame Scheduling on a graph: time-constrained when
-// cfg.CS > 0, resource-constrained (minimizing control steps under
+// ScheduleGraph runs Move Frame Scheduling on a graph: time-constrained
+// when cfg.CS > 0, resource-constrained (minimizing control steps under
 // cfg.Limits) when cfg.CS == 0.
 func ScheduleGraph(g *Graph, cfg Config) (d *Design, err error) {
-	defer guard.Recover("hls.ScheduleGraph", &err)
-	return core.ScheduleOnly(g, cfg)
+	return ScheduleGraphCtx(context.Background(), g, cfg)
 }
 
 // ScheduleGraphCtx is ScheduleGraph with cancellation: a cancelled or
@@ -183,8 +180,7 @@ func ScheduleGraphCtx(ctx context.Context, g *Graph, cfg Config) (d *Design, err
 // Synthesize runs Move Frame Scheduling-Allocation on a graph, producing
 // a schedule, a bound RTL datapath, a controller and a cost breakdown.
 func Synthesize(g *Graph, cfg Config) (d *Design, err error) {
-	defer guard.Recover("hls.Synthesize", &err)
-	return core.Synthesize(g, cfg)
+	return SynthesizeCtx(context.Background(), g, cfg)
 }
 
 // SynthesizeCtx is Synthesize with cancellation: a cancelled or
@@ -198,8 +194,7 @@ func SynthesizeCtx(ctx context.Context, g *Graph, cfg Config) (d *Design, err er
 // SynthesizeSource parses a behavioral description (see ParseBehavior
 // for the language) and synthesizes it with MFSA.
 func SynthesizeSource(src string, cfg Config) (d *Design, err error) {
-	defer guard.Recover("hls.SynthesizeSource", &err)
-	return core.SynthesizeSource(src, cfg)
+	return SynthesizeSourceCtx(context.Background(), src, cfg)
 }
 
 // SynthesizeSourceCtx is SynthesizeSource with cancellation.
@@ -211,9 +206,7 @@ func SynthesizeSourceCtx(ctx context.Context, src string, cfg Config) (d *Design
 // ScheduleSource parses a behavioral description and schedules it with
 // MFS, folding nested loops per the paper's §5.2.
 func ScheduleSource(src string, cfg Config) (d *Design, err error) {
-	defer guard.Recover("hls.ScheduleSource", &err)
-	d, _, err = core.ScheduleSource(src, cfg)
-	return d, err
+	return ScheduleSourceCtx(context.Background(), src, cfg)
 }
 
 // ScheduleSourceCtx is ScheduleSource with cancellation.
@@ -231,30 +224,12 @@ func Allocate(s *Schedule, cfg Config) (*Design, error) {
 	return AllocateCtx(context.Background(), s, cfg)
 }
 
-// AllocateCtx is Allocate with cancellation and the facade's
-// panic-recovery boundary.
+// AllocateCtx is Allocate with cancellation, cfg.Timeout and the input
+// guards (cfg.MaxNodes on the schedule's graph, cfg.MaxCSteps on its
+// control steps).
 func AllocateCtx(ctx context.Context, s *Schedule, cfg Config) (d *Design, err error) {
 	defer guard.Recover("hls.Allocate", &err)
-	res, err := mfsa.AllocateCtx(ctx, s, mfsa.Options{
-		Lib:            cfg.Lib,
-		Style:          mfsa.Style(cfg.Style),
-		Limits:         cfg.Limits,
-		RegisterInputs: cfg.RegisterInputs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c, err := ctrl.Build(s.Graph, res.Schedule, res.Datapath)
-	if err != nil {
-		return nil, err
-	}
-	return &Design{
-		Graph:      s.Graph,
-		Schedule:   res.Schedule,
-		Datapath:   res.Datapath,
-		Controller: c,
-		Cost:       res.Cost,
-	}, nil
+	return core.AllocateCtx(ctx, s, cfg)
 }
 
 // Incremental re-synthesis: apply a local graph edit to a finished
@@ -281,13 +256,11 @@ type (
 //
 //hls:sharedok the edit is applied to Edit.apply's private Clone of d.Graph; the input design is only read
 func Resynthesize(d *Design, e Edit) (out *Design, err error) {
-	defer guard.Recover("hls.Resynthesize", &err)
-	return core.Resynthesize(d, e)
+	return ResynthesizeCtx(context.Background(), d, e)
 }
 
 // ResynthesizeCtx is Resynthesize with cancellation, the original
-// Config's Timeout and input guards, and the facade's panic-recovery
-// boundary.
+// Config's Timeout and input guards.
 //
 //hls:sharedok the edit is applied to Edit.apply's private Clone of d.Graph; the input design is only read
 func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err error) {
@@ -304,8 +277,7 @@ type SweepPoint = core.SweepPoint
 // concurrently on cfg.Parallelism workers (0 = GOMAXPROCS); results are
 // identical at every parallelism setting.
 func Sweep(g *Graph, cfg Config, csLo, csHi int) (pts []SweepPoint, err error) {
-	defer guard.Recover("hls.Sweep", &err)
-	return core.Sweep(g, cfg, csLo, csHi)
+	return SweepCtx(context.Background(), g, cfg, csLo, csHi)
 }
 
 // SweepCtx is Sweep with cancellation: cfg.Timeout bounds the whole
@@ -320,8 +292,7 @@ func SweepCtx(ctx context.Context, g *Graph, cfg Config, csLo, csHi int) (pts []
 // synthesis jobs. The result is indexed like gs; each row carries its
 // own Pareto marks and equals the corresponding Sweep call exactly.
 func SweepGraphs(gs []*Graph, cfg Config, csLo, csHi int) (pts [][]SweepPoint, err error) {
-	defer guard.Recover("hls.SweepGraphs", &err)
-	return core.SweepGraphs(gs, cfg, csLo, csHi)
+	return SweepGraphsCtx(context.Background(), gs, cfg, csLo, csHi)
 }
 
 // SweepGraphsCtx is SweepGraphs with cancellation; see SweepCtx.
@@ -394,8 +365,7 @@ const (
 // Lint runs the static verification analyzers over a unit; see
 // Design.Lint for the common case of auditing a synthesis result.
 func Lint(u *LintUnit, opts LintOptions) (ds Diagnostics, err error) {
-	defer guard.Recover("hls.Lint", &err)
-	return lint.Run(u, opts)
+	return LintCtx(context.Background(), u, opts)
 }
 
 // LintCtx is Lint with cancellation.
@@ -431,8 +401,7 @@ type (
 // simulator. See Design.Certify for the common case of certifying a
 // synthesis result.
 func Certify(u *LintUnit) (c *Certificate, err error) {
-	defer guard.Recover("hls.Certify", &err)
-	return lint.Certify(context.Background(), u)
+	return CertifyCtx(context.Background(), u)
 }
 
 // CertifyCtx is Certify with cancellation; a cancelled run returns

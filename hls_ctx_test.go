@@ -81,18 +81,106 @@ func TestSweepGraphsCtxMidFlightCancel(t *testing.T) {
 	}
 }
 
+// TestSweepCtxBackgroundMatchesSweep: every context-free facade
+// function equals its Ctx sibling run under a never-cancelled context.
 func TestSweepCtxBackgroundMatchesSweep(t *testing.T) {
 	ex := benchmarks.Diffeq()
-	want, err := hls.Sweep(ex.Graph, hls.Config{}, 4, 8)
+	g, cfg := ex.Graph, hls.Config{CS: 4}
+	const src = `
+design pair
+input a, b, c
+s = a + b
+p = s * c
+d = p - a
+`
+	base, err := hls.Synthesize(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hls.SweepCtx(context.Background(), ex.Graph, hls.Config{}, 4, 8)
+	edit := hls.Edit{AddOp: &hls.AddOpEdit{Name: "pair_sum", Op: hls.Add, Args: []string{"m4", "m5"}}}
+	u := base.LintUnit()
+	fds, err := hls.ForceDirected(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SweepCtx(Background) differs from Sweep:\n got %+v\nwant %+v", got, want)
+	gs, bg := benchGraphs(), context.Background()
+	for _, tc := range []struct {
+		name  string
+		plain func() (any, error)
+		ctx   func(context.Context) (any, error)
+	}{
+		{"ScheduleGraph",
+			func() (any, error) { return hls.ScheduleGraph(g, cfg) },
+			func(ctx context.Context) (any, error) { return hls.ScheduleGraphCtx(ctx, g, cfg) }},
+		{"Synthesize",
+			func() (any, error) { return hls.Synthesize(g, cfg) },
+			func(ctx context.Context) (any, error) { return hls.SynthesizeCtx(ctx, g, cfg) }},
+		{"SynthesizeSource",
+			func() (any, error) { return hls.SynthesizeSource(src, hls.Config{CS: 3}) },
+			func(ctx context.Context) (any, error) { return hls.SynthesizeSourceCtx(ctx, src, hls.Config{CS: 3}) }},
+		{"ScheduleSource",
+			func() (any, error) { return hls.ScheduleSource(src, hls.Config{CS: 3}) },
+			func(ctx context.Context) (any, error) { return hls.ScheduleSourceCtx(ctx, src, hls.Config{CS: 3}) }},
+		{"Resynthesize",
+			func() (any, error) { return hls.Resynthesize(base, edit) },
+			func(ctx context.Context) (any, error) { return hls.ResynthesizeCtx(ctx, base, edit) }},
+		{"Sweep",
+			func() (any, error) { return hls.Sweep(g, hls.Config{}, 4, 8) },
+			func(ctx context.Context) (any, error) { return hls.SweepCtx(ctx, g, hls.Config{}, 4, 8) }},
+		{"SweepGraphs",
+			func() (any, error) { return hls.SweepGraphs(gs, hls.Config{}, 17, 18) },
+			func(ctx context.Context) (any, error) { return hls.SweepGraphsCtx(ctx, gs, hls.Config{}, 17, 18) }},
+		{"Lint",
+			func() (any, error) { return hls.Lint(u, hls.LintOptions{}) },
+			func(ctx context.Context) (any, error) { return hls.LintCtx(ctx, u, hls.LintOptions{}) }},
+		{"Certify",
+			func() (any, error) { return hls.Certify(u) },
+			func(ctx context.Context) (any, error) { return hls.CertifyCtx(ctx, u) }},
+		{"Allocate",
+			func() (any, error) { return hls.Allocate(fds, hls.Config{}) },
+			func(ctx context.Context) (any, error) { return hls.AllocateCtx(ctx, fds, hls.Config{}) }},
+	} {
+		want, err := tc.plain()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got, err := tc.ctx(bg)
+		if err != nil {
+			t.Fatalf("%sCtx: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%sCtx(Background) differs from %s:\n got %+v\nwant %+v", tc.name, tc.name, got, want)
+		}
+	}
+}
+
+// TestAllocateGuards: Allocate applies the same input guards and
+// cancellation as every other entry point, with the schedule's control
+// steps standing in for Config.CS.
+func TestAllocateGuards(t *testing.T) {
+	ex := benchmarks.Facet()
+	d, err := hls.ScheduleGraph(ex.Graph, hls.Config{CS: ex.TimeConstraints[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := d.Schedule
+	for _, tc := range []struct {
+		cfg  hls.Config
+		what string
+	}{
+		{hls.Config{MaxNodes: 1}, "graph nodes"},
+		{hls.Config{MaxCSteps: s.CS - 1}, "control steps"},
+	} {
+		_, err := hls.Allocate(s, tc.cfg)
+		var le *hls.LimitError
+		if !errors.As(err, &le) || le.What != tc.what {
+			t.Errorf("Allocate over the %s cap: err = %v, want *hls.LimitError", tc.what, err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := hls.AllocateCtx(ctx, s, hls.Config{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("AllocateCtx(cancelled): err = %v, want context.Canceled", err)
 	}
 }
 

@@ -172,16 +172,9 @@ type Design struct {
 	hasCfg bool
 }
 
-// ScheduleOnly runs MFS on a graph.
-func ScheduleOnly(g *dfg.Graph, cfg Config) (*Design, error) {
-	return ScheduleOnlyCtx(context.Background(), g, cfg)
-}
-
-// ScheduleOnlyCtx is ScheduleOnly with cancellation, cfg.Timeout, the
-// input-size guards, and the panic-recovery boundary: an internal panic
-// surfaces as a *guard.InternalError instead of crashing the caller.
-func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, err error) {
-	defer guard.Recover("core.ScheduleOnly", &err)
+// ScheduleOnlyCtx runs MFS on a graph under ctx, cfg.Timeout and the
+// input-size guards.
+func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error) {
 	if err := guardInput(g, cfg); err != nil {
 		return nil, err
 	}
@@ -191,7 +184,7 @@ func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, 
 	if err != nil {
 		return nil, err
 	}
-	d = &Design{Graph: g, Schedule: s}
+	d := &Design{Graph: g, Schedule: s}
 	d.captureLintContext(cfg)
 	if err := d.lintGate(ctx, cfg); err != nil {
 		return nil, err
@@ -199,15 +192,9 @@ func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, 
 	return d, nil
 }
 
-// Synthesize runs MFSA on a graph and builds the controller.
-func Synthesize(g *dfg.Graph, cfg Config) (*Design, error) {
-	return SynthesizeCtx(context.Background(), g, cfg)
-}
-
-// SynthesizeCtx is Synthesize with cancellation, cfg.Timeout, the
-// input-size guards, and the panic-recovery boundary.
-func SynthesizeCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, err error) {
-	defer guard.Recover("core.Synthesize", &err)
+// SynthesizeCtx runs MFSA on a graph and builds the controller, under
+// ctx, cfg.Timeout and the input-size guards.
+func SynthesizeCtx(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error) {
 	if err := guardInput(g, cfg); err != nil {
 		return nil, err
 	}
@@ -223,22 +210,56 @@ func synthesize(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error) 
 	if err != nil {
 		return nil, err
 	}
-	c, err := ctrl.Build(g, res.Schedule, res.Datapath)
+	d, err := assemble(g, res)
 	if err != nil {
 		return nil, err
-	}
-	d := &Design{
-		Graph:      g,
-		Schedule:   res.Schedule,
-		Datapath:   res.Datapath,
-		Controller: c,
-		Cost:       res.Cost,
 	}
 	d.captureLintContext(cfg)
 	if err := d.lintGate(ctx, cfg); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// AllocateCtx binds an externally produced schedule (MFS, force-directed,
+// list-scheduled, ...) to an RTL datapath with MFSA's cost machinery and
+// the operations' control steps frozen, under ctx, cfg.Timeout and the
+// input-size guards (s.CS stands in for cfg.CS). The result carries no
+// configuration, so ResynthesizeCtx rejects it.
+func AllocateCtx(ctx context.Context, s *sched.Schedule, cfg Config) (*Design, error) {
+	gcfg := cfg
+	gcfg.CS = s.CS
+	if err := guardInput(s.Graph, gcfg); err != nil {
+		return nil, err
+	}
+	ctx, cancel := withTimeout(ctx, cfg)
+	defer cancel()
+	res, err := mfsa.AllocateCtx(ctx, s, mfsa.Options{
+		Lib:            cfg.Lib,
+		Style:          mfsa.Style(cfg.Style),
+		Limits:         cfg.Limits,
+		RegisterInputs: cfg.RegisterInputs,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return assemble(s.Graph, res)
+}
+
+// assemble builds the controller for an allocated result and wraps both
+// in a Design; callers that hold a Config capture it themselves.
+func assemble(g *dfg.Graph, res *mfsa.Result) (*Design, error) {
+	c, err := ctrl.Build(g, res.Schedule, res.Datapath)
+	if err != nil {
+		return nil, err
+	}
+	return &Design{
+		Graph:      g,
+		Schedule:   res.Schedule,
+		Datapath:   res.Datapath,
+		Controller: c,
+		Cost:       res.Cost,
+	}, nil
 }
 
 func (d *Design) captureLintContext(cfg Config) {
@@ -318,17 +339,10 @@ func (d *Design) CertifyCtx(ctx context.Context) (*lint.Certificate, error) {
 	return lint.Certify(ctx, d.LintUnit())
 }
 
-// SynthesizeSource parses a behavioral description and synthesizes it,
-// running the frontend optimization passes first when cfg.Optimize is
-// set.
-func SynthesizeSource(src string, cfg Config) (*Design, error) {
-	return SynthesizeSourceCtx(context.Background(), src, cfg)
-}
-
-// SynthesizeSourceCtx is SynthesizeSource with cancellation, cfg.Timeout,
-// the input-size guards, and the panic-recovery boundary.
-func SynthesizeSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, err error) {
-	defer guard.Recover("core.SynthesizeSource", &err)
+// SynthesizeSourceCtx parses a behavioral description and synthesizes
+// it, running the frontend optimization passes first when cfg.Optimize
+// is set, under ctx, cfg.Timeout and the input-size guards.
+func SynthesizeSourceCtx(ctx context.Context, src string, cfg Config) (*Design, error) {
 	g, consts, err := frontend(src, cfg)
 	if err != nil {
 		return nil, err
@@ -338,7 +352,7 @@ func SynthesizeSourceCtx(ctx context.Context, src string, cfg Config) (d *Design
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
-	d, err = synthesize(ctx, g, cfg)
+	d, err := synthesize(ctx, g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -362,16 +376,10 @@ func frontend(src string, cfg Config) (*dfg.Graph, map[string]int64, error) {
 	return res.Graph, res.Consts, nil
 }
 
-// ScheduleSource parses a behavioral description and schedules it with
-// MFS (loops are folded per §5.2).
-func ScheduleSource(src string, cfg Config) (*Design, *mfs.LoopDesign, error) {
-	return ScheduleSourceCtx(context.Background(), src, cfg)
-}
-
-// ScheduleSourceCtx is ScheduleSource with cancellation, cfg.Timeout,
-// the input-size guards, and the panic-recovery boundary.
-func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, ld *mfs.LoopDesign, err error) {
-	defer guard.Recover("core.ScheduleSource", &err)
+// ScheduleSourceCtx parses a behavioral description and schedules it
+// with MFS (loops are folded per §5.2), under ctx, cfg.Timeout and the
+// input-size guards.
+func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (*Design, *mfs.LoopDesign, error) {
 	g, consts, err := frontend(src, cfg)
 	if err != nil {
 		return nil, nil, err
@@ -381,11 +389,11 @@ func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, 
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
-	ld, err = mfs.ScheduleLoopsCtx(ctx, g, mfsOptions(cfg))
+	ld, err := mfs.ScheduleLoopsCtx(ctx, g, mfsOptions(cfg))
 	if err != nil {
 		return nil, nil, err
 	}
-	d = &Design{Graph: g, Consts: consts, Schedule: ld.Schedule}
+	d := &Design{Graph: g, Consts: consts, Schedule: ld.Schedule}
 	d.captureLintContext(cfg)
 	if err := d.lintGate(ctx, cfg); err != nil {
 		return nil, nil, err

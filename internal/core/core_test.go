@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,7 +17,7 @@ d = p - a
 `
 
 func TestSynthesizeSource(t *testing.T) {
-	d, err := SynthesizeSource(quickSrc, Config{CS: 4})
+	d, err := SynthesizeSourceCtx(context.Background(), quickSrc, Config{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSynthesizeSource(t *testing.T) {
 }
 
 func TestNetlist(t *testing.T) {
-	d, err := SynthesizeSource(quickSrc, Config{CS: 3})
+	d, err := SynthesizeSourceCtx(context.Background(), quickSrc, Config{CS: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestNetlist(t *testing.T) {
 
 func TestScheduleOnly(t *testing.T) {
 	ex := benchmarks.Diffeq()
-	d, err := ScheduleOnly(ex.Graph, Config{CS: 4})
+	d, err := ScheduleOnlyCtx(context.Background(), ex.Graph, Config{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ loop acc cycles 2 binds s = x, d = dx yields nx {
 }
 out = acc * 3
 `
-	d, ld, err := ScheduleSource(src, Config{CS: 4})
+	d, ld, err := ScheduleSourceCtx(context.Background(), src, Config{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ out = acc * 3
 
 func TestResourceConstrainedConfig(t *testing.T) {
 	ex := benchmarks.Diffeq()
-	d, err := ScheduleOnly(ex.Graph, Config{Limits: map[string]int{"*": 1, "+": 1, "-": 1, "<": 1}})
+	d, err := ScheduleOnlyCtx(context.Background(), ex.Graph, Config{Limits: map[string]int{"*": 1, "+": 1, "-": 1, "<": 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +104,14 @@ func TestResourceConstrainedConfig(t *testing.T) {
 }
 
 func TestStyleAndWeightsPassThrough(t *testing.T) {
-	d1, err := SynthesizeSource(quickSrc, Config{CS: 4, Style: 2})
+	d1, err := SynthesizeSourceCtx(context.Background(), quickSrc, Config{CS: 4, Style: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d1.SelfCheck(2); err != nil {
 		t.Error(err)
 	}
-	d2, err := SynthesizeSource(quickSrc, Config{CS: 4, Weights: [4]float64{1, 10, 1, 1}})
+	d2, err := SynthesizeSourceCtx(context.Background(), quickSrc, Config{CS: 4, Weights: [4]float64{1, 10, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestStyleAndWeightsPassThrough(t *testing.T) {
 
 func TestPipelinedConfig(t *testing.T) {
 	ex := benchmarks.Bandpass()
-	d, err := ScheduleOnly(ex.Graph, Config{CS: 9, PipelinedOps: []string{"*"}})
+	d, err := ScheduleOnlyCtx(context.Background(), ex.Graph, Config{CS: 9, PipelinedOps: []string{"*"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +132,10 @@ func TestPipelinedConfig(t *testing.T) {
 }
 
 func TestBadSource(t *testing.T) {
-	if _, err := SynthesizeSource("not a design", Config{CS: 4}); err == nil {
+	if _, err := SynthesizeSourceCtx(context.Background(), "not a design", Config{CS: 4}); err == nil {
 		t.Error("bad source accepted")
 	}
-	if _, _, err := ScheduleSource("also bad", Config{CS: 4}); err == nil {
+	if _, _, err := ScheduleSourceCtx(context.Background(), "also bad", Config{CS: 4}); err == nil {
 		t.Error("bad source accepted by ScheduleSource")
 	}
 }
@@ -150,11 +151,11 @@ d2 = b + a
 dead = a * 99
 y = d1 + c
 `
-	plain, err := SynthesizeSource(src, Config{CS: 4})
+	plain, err := SynthesizeSourceCtx(context.Background(), src, Config{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := SynthesizeSource(src, Config{CS: 4, Optimize: true})
+	opt, err := SynthesizeSourceCtx(context.Background(), src, Config{CS: 4, Optimize: true})
 	if err != nil {
 		t.Fatal(err)
 	}

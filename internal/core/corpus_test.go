@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,7 +44,7 @@ func TestDesignCorpus(t *testing.T) {
 				}
 			}
 			for _, cs := range []int{cp, cp + 2} {
-				d, _, err := ScheduleSource(src, Config{CS: cs})
+				d, _, err := ScheduleSourceCtx(context.Background(), src, Config{CS: cs})
 				if err != nil {
 					t.Fatalf("schedule cs=%d: %v", cs, err)
 				}
@@ -52,7 +53,7 @@ func TestDesignCorpus(t *testing.T) {
 				}
 				// The optimized variant must also schedule and verify
 				// (cs may tighten as the graph shrinks; keep cs+2 slack).
-				if od, _, err := ScheduleSource(src, Config{CS: cs + 2, Optimize: true}); err != nil {
+				if od, _, err := ScheduleSourceCtx(context.Background(), src, Config{CS: cs + 2, Optimize: true}); err != nil {
 					t.Fatalf("optimized schedule: %v", err)
 				} else if err := od.SelfCheck(2); err != nil {
 					t.Fatalf("optimized schedule: %v", err)
@@ -61,7 +62,7 @@ func TestDesignCorpus(t *testing.T) {
 					continue // MFSA synthesizes flattened bodies only
 				}
 				for _, style := range []int{1, 2} {
-					ds, err := SynthesizeSource(src, Config{CS: cs, Style: style})
+					ds, err := SynthesizeSourceCtx(context.Background(), src, Config{CS: cs, Style: style})
 					if err != nil {
 						t.Fatalf("synth cs=%d style=%d: %v", cs, style, err)
 					}
@@ -84,7 +85,7 @@ func TestDesignCorpus(t *testing.T) {
 }
 
 func TestReportScheduleOnly(t *testing.T) {
-	d, _, err := ScheduleSource(`
+	d, _, err := ScheduleSourceCtx(context.Background(), `
 design tiny
 input a
 x = a + a

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"os/exec"
@@ -74,7 +75,7 @@ func synthesisFingerprint() ([]byte, error) {
 		return nil, fmt.Errorf("generate: %w", err)
 	}
 	cs := g.CriticalPathCycles() + 16
-	d, err := core.Synthesize(g, core.Config{CS: cs})
+	d, err := core.SynthesizeCtx(context.Background(), g, core.Config{CS: cs})
 	if err != nil {
 		return nil, fmt.Errorf("synthesize (CS=%d): %w", cs, err)
 	}

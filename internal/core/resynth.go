@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/ctrl"
 	"repro/internal/dfg"
-	"repro/internal/guard"
 	"repro/internal/mfs"
 	"repro/internal/mfsa"
 	"repro/internal/op"
@@ -199,31 +197,23 @@ func remapFrames(newG, oldG *dfg.Graph, old sched.Frames) sched.Frames {
 	return out
 }
 
-// Resynthesize re-derives a design after a local graph edit, reusing the
-// previous run's recorded trajectory for the untouched prefix. The result
-// is always bit-identical to synthesizing the edited graph from scratch
-// under the design's original Config — replay is an optimization, never a
-// semantic shortcut (see mfs.ResumeCtx and mfsa.ResumeCtx for the
+// ResynthesizeCtx re-derives a design after a local graph edit, reusing
+// the previous run's recorded trajectory for the untouched prefix. The
+// result is always bit-identical to synthesizing the edited graph from
+// scratch under the design's original Config — replay is an optimization,
+// never a semantic shortcut (see mfs.ResumeCtx and mfsa.ResumeCtx for the
 // induction) — but on a large design whose edit only perturbs a small
 // cone, it skips nearly all of the placement search.
 //
-// The design must come from Synthesize/ScheduleOnly (or a previous
-// Resynthesize): those capture the Config the replay re-runs under.
-// Designs assembled by other means (hls.Allocate) are rejected. A design
-// synthesized with Config.NoTrace has no trajectory to replay; the call
-// still succeeds by falling back to a full run.
+// The design must come from SynthesizeCtx/ScheduleOnlyCtx (or a previous
+// ResynthesizeCtx): those capture the Config the replay re-runs under,
+// including its Timeout and input-size guards. Designs assembled by
+// other means (AllocateCtx) are rejected. A design synthesized with
+// Config.NoTrace has no trajectory to replay; the call still succeeds by
+// falling back to a full run.
 //
 //hls:sharedok Edit.apply mutates only its own Clone of d.Graph (loop bodies are re-cloned before reuse); d is read-only here
-func Resynthesize(d *Design, e Edit) (*Design, error) {
-	return ResynthesizeCtx(context.Background(), d, e)
-}
-
-// ResynthesizeCtx is Resynthesize with cancellation, the original
-// Config's Timeout, input-size guards, and the panic-recovery boundary.
-//
-//hls:sharedok Edit.apply mutates only its own Clone of d.Graph (loop bodies are re-cloned before reuse); d is read-only here
-func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err error) {
-	defer guard.Recover("core.Resynthesize", &err)
+func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (*Design, error) {
 	if d == nil || d.Graph == nil || d.Schedule == nil {
 		return nil, fmt.Errorf("core: resynthesize needs a completed design (run Synthesize or ScheduleOnly first)")
 	}
@@ -241,31 +231,24 @@ func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err e
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
 	oldFrames := remapFrames(newG, d.Graph, d.Schedule.Frames)
+	var out *Design
 	if d.Datapath != nil {
 		prev := &mfsa.Result{Schedule: d.Schedule, Datapath: d.Datapath, Cost: d.Cost}
 		res, err := mfsa.ResumeCtx(ctx, newG, mfsaOptions(cfg), prev, oldFrames, seeds)
 		if err != nil {
 			return nil, err
 		}
-		c, err := ctrl.Build(newG, res.Schedule, res.Datapath)
-		if err != nil {
+		if out, err = assemble(newG, res); err != nil {
 			return nil, err
-		}
-		out = &Design{
-			Graph:      newG,
-			Consts:     d.Consts,
-			Schedule:   res.Schedule,
-			Datapath:   res.Datapath,
-			Controller: c,
-			Cost:       res.Cost,
 		}
 	} else {
 		s, err := mfs.ResumeCtx(ctx, newG, mfsOptions(cfg), d.Schedule, oldFrames, seeds)
 		if err != nil {
 			return nil, err
 		}
-		out = &Design{Graph: newG, Consts: d.Consts, Schedule: s}
+		out = &Design{Graph: newG, Schedule: s}
 	}
+	out.Consts = d.Consts
 	out.captureLintContext(cfg)
 	if err := out.lintGate(ctx, cfg); err != nil {
 		return nil, err

@@ -38,23 +38,17 @@ type SweepPoint struct {
 	Pareto bool
 }
 
-// Sweep synthesizes g with MFSA at every time constraint in [csLo, csHi]
-// (skipping constraints below the critical path) and returns the
-// cost/time design points with the Pareto frontier marked — the
-// trade-off exploration a user of the paper's tool would run before
-// committing to a constraint. Every point is an independent synthesis
-// over the same read-only graph, so the points are computed concurrently
-// on cfg.Parallelism workers; results come back in cs order and are
-// identical at every parallelism setting.
-func Sweep(g *dfg.Graph, cfg Config, csLo, csHi int) ([]SweepPoint, error) {
-	return SweepCtx(context.Background(), g, cfg, csLo, csHi)
-}
-
-// SweepCtx is Sweep with cancellation, cfg.Timeout (bounding the whole
-// sweep, not each point), the input-size guards, and the panic-recovery
-// boundary. A cancelled sweep returns ctx.Err(), never partial points.
-func SweepCtx(ctx context.Context, g *dfg.Graph, cfg Config, csLo, csHi int) (points []SweepPoint, err error) {
-	defer guard.Recover("core.Sweep", &err)
+// SweepCtx synthesizes g with MFSA at every time constraint in [csLo,
+// csHi] (skipping constraints below the critical path) and returns the
+// cost/time design points with the Pareto frontier marked — the trade-off
+// exploration a user of the paper's tool would run before committing to a
+// constraint. Every point is an independent synthesis over the same
+// read-only graph, so the points are computed concurrently on
+// cfg.Parallelism workers; results come back in cs order and are identical
+// at every parallelism setting. cfg.Timeout bounds the whole sweep, not
+// each point, and the input-size guards apply; a cancelled sweep returns
+// ctx.Err(), never partial points.
+func SweepCtx(ctx context.Context, g *dfg.Graph, cfg Config, csLo, csHi int) ([]SweepPoint, error) {
 	if err := guardSweepRange(cfg, csLo, csHi); err != nil {
 		return nil, err
 	}
@@ -80,7 +74,7 @@ func SweepCtx(ctx context.Context, g *dfg.Graph, cfg Config, csLo, csHi int) (po
 		}
 		csLo = cp
 	}
-	points, err = pool.MapCtx(ctx, pool.Size(cfg.Parallelism), csHi-csLo+1,
+	points, err := pool.MapCtx(ctx, pool.Size(cfg.Parallelism), csHi-csLo+1,
 		func(i int) (SweepPoint, error) {
 			c := cfg
 			c.CS = csLo + i
@@ -101,21 +95,14 @@ func SweepCtx(ctx context.Context, g *dfg.Graph, cfg Config, csLo, csHi int) (po
 	return points, nil
 }
 
-// SweepGraphs sweeps several designs over one shared worker pool: the
+// SweepGraphsCtx sweeps several designs over one shared worker pool: the
 // whole graphs × constraints grid is flattened into independent
 // synthesis jobs, so a multi-design exploration saturates the machine
 // even when individual sweep ranges are short. Each graph's range is
-// clamped to its own critical path, exactly as Sweep would clamp it, and
-// the returned slice is indexed like gs with per-graph Pareto marks.
-func SweepGraphs(gs []*dfg.Graph, cfg Config, csLo, csHi int) ([][]SweepPoint, error) {
-	return SweepGraphsCtx(context.Background(), gs, cfg, csLo, csHi)
-}
-
-// SweepGraphsCtx is SweepGraphs with cancellation, cfg.Timeout (bounding
-// the whole grid), the input-size guards, and the panic-recovery
-// boundary. A cancelled sweep returns ctx.Err(), never partial points.
-func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi int) (out [][]SweepPoint, err error) {
-	defer guard.Recover("core.SweepGraphs", &err)
+// clamped to its own critical path, exactly as SweepCtx would clamp it,
+// and the returned slice is indexed like gs with per-graph Pareto marks.
+// cfg.Timeout bounds the whole grid; see SweepCtx for cancellation.
+func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi int) ([][]SweepPoint, error) {
 	if err := guardSweepRange(cfg, csLo, csHi); err != nil {
 		return nil, err
 	}
@@ -175,7 +162,7 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 	if err != nil {
 		return nil, err
 	}
-	out = make([][]SweepPoint, len(gs))
+	out := make([][]SweepPoint, len(gs))
 	next := 0
 	//hls:ctxok assembles results the pooled workers already computed; O(points) slicing after the cancellable phase is over
 	for gi := range gs {

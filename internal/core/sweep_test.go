@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -16,7 +17,7 @@ import (
 
 func TestSweepDiffeq(t *testing.T) {
 	ex := benchmarks.Diffeq()
-	points, err := Sweep(ex.Graph, Config{}, 1, 8)
+	points, err := SweepCtx(context.Background(), ex.Graph, Config{}, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestSweepDiffeq(t *testing.T) {
 
 func TestSweepErrors(t *testing.T) {
 	ex := benchmarks.Facet()
-	if _, err := Sweep(ex.Graph, Config{}, 0, 5); err == nil {
+	if _, err := SweepCtx(context.Background(), ex.Graph, Config{}, 0, 5); err == nil {
 		t.Error("bad low bound accepted")
 	}
-	if _, err := Sweep(ex.Graph, Config{}, 5, 4); err == nil {
+	if _, err := SweepCtx(context.Background(), ex.Graph, Config{}, 5, 4); err == nil {
 		t.Error("inverted range accepted")
 	}
 }
@@ -70,12 +71,12 @@ func TestSweepErrors(t *testing.T) {
 // byte-identical points and Pareto marks.
 func TestSweepParallelIdentical(t *testing.T) {
 	ex := benchmarks.Diffeq()
-	want, err := Sweep(ex.Graph, Config{Parallelism: 1}, 1, 10)
+	want, err := SweepCtx(context.Background(), ex.Graph, Config{Parallelism: 1}, 1, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 4, 16} {
-		got, err := Sweep(ex.Graph, Config{Parallelism: workers}, 1, 10)
+		got, err := SweepCtx(context.Background(), ex.Graph, Config{Parallelism: workers}, 1, 10)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", workers, err)
 		}
@@ -94,7 +95,7 @@ func TestSweepGraphs(t *testing.T) {
 	for i, ex := range exs {
 		gs[i] = ex.Graph
 	}
-	multi, err := SweepGraphs(gs, Config{}, 1, 9)
+	multi, err := SweepGraphsCtx(context.Background(), gs, Config{}, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSweepGraphs(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(multi), len(gs))
 	}
 	for i, g := range gs {
-		single, err := Sweep(g, Config{}, 1, 9)
+		single, err := SweepCtx(context.Background(), g, Config{}, 1, 9)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -111,10 +112,10 @@ func TestSweepGraphs(t *testing.T) {
 				g.Name, multi[i], single)
 		}
 	}
-	if _, err := SweepGraphs(gs, Config{}, 0, 9); err == nil {
+	if _, err := SweepGraphsCtx(context.Background(), gs, Config{}, 0, 9); err == nil {
 		t.Error("bad low bound accepted")
 	}
-	if _, err := SweepGraphs([]*dfg.Graph{nil}, Config{}, 1, 4); err == nil {
+	if _, err := SweepGraphsCtx(context.Background(), []*dfg.Graph{nil}, Config{}, 1, 4); err == nil {
 		t.Error("nil graph accepted")
 	}
 }
@@ -168,7 +169,7 @@ func TestMarkParetoMatchesBruteForce(t *testing.T) {
 
 func TestSweepRangeClampedToCriticalPath(t *testing.T) {
 	ex := benchmarks.Facet() // critical path 4
-	points, err := Sweep(ex.Graph, Config{}, 1, 4)
+	points, err := SweepCtx(context.Background(), ex.Graph, Config{}, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestSweepRangeClampedToCriticalPath(t *testing.T) {
 // typed *guard.RangeError naming the critical path.
 func TestSweepBelowCriticalPath(t *testing.T) {
 	ex := benchmarks.Facet() // critical path 4
-	points, err := Sweep(ex.Graph, Config{}, 1, 3)
+	points, err := SweepCtx(context.Background(), ex.Graph, Config{}, 1, 3)
 	if points != nil {
 		t.Errorf("points = %+v, want none", points)
 	}
@@ -216,7 +217,7 @@ func TestSweepGraphsBelowCriticalPath(t *testing.T) {
 	}
 	deep := benchmarks.Facet().Graph // critical path 4: outside [1, 3]
 
-	out, err := SweepGraphs([]*dfg.Graph{shallow, deep}, Config{}, 1, 3)
+	out, err := SweepGraphsCtx(context.Background(), []*dfg.Graph{shallow, deep}, Config{}, 1, 3)
 	if out != nil {
 		t.Errorf("rows = %+v, want none", out)
 	}
@@ -230,7 +231,7 @@ func TestSweepGraphsBelowCriticalPath(t *testing.T) {
 
 	// The same graphs under a feasible range still sweep fine — the fix
 	// only rejects ranges with no feasible point for some graph.
-	rows, err := SweepGraphs([]*dfg.Graph{shallow, deep}, Config{}, 1, 4)
+	rows, err := SweepGraphsCtx(context.Background(), []*dfg.Graph{shallow, deep}, Config{}, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,15 +212,6 @@ func (c *Controller) ActionFor(id dfg.NodeID) (Action, int, bool) {
 	return Action{}, 0, false
 }
 
-// NextState returns the state index following i, honoring functional
-// pipelining restarts and the steady loop back to state 0.
-func (c *Controller) NextState(i int) int {
-	if i+1 < len(c.States) {
-		return i + 1
-	}
-	return 0
-}
-
 // String renders the FSM as a readable state table.
 func (c *Controller) String() string {
 	var b strings.Builder

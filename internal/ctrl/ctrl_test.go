@@ -1,6 +1,7 @@
 package ctrl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func buildDesign(t *testing.T, cs int) (*dfg.Graph, *mfsa.Result) {
 	t.Helper()
 	ex := benchmarks.Facet()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: cs})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,6 @@ func TestRegisterWrites(t *testing.T) {
 	_ = g
 }
 
-func TestNextState(t *testing.T) {
-	c := &Controller{States: make([]State, 4)}
-	if c.NextState(0) != 1 || c.NextState(3) != 0 {
-		t.Error("NextState wrong")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	g, res := buildDesign(t, 4)
 	c, err := Build(g, res.Schedule, res.Datapath)
@@ -158,7 +152,7 @@ func TestGuardedActions(t *testing.T) {
 	y, _ := g.AddOp("y", op.Sub, "a", "b")
 	g.Tag(x, dfg.CondTag{Cond: 1, Branch: 0})
 	g.Tag(y, dfg.CondTag{Cond: 1, Branch: 1})
-	res, err := mfsa.Synthesize(g, mfsa.Options{CS: 2})
+	res, err := mfsa.SynthesizeCtx(context.Background(), g, mfsa.Options{CS: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,6 @@ type Graph struct {
 	nodes  []*Node
 	byName map[string]NodeID
 	inputs map[string]bool
-	frozen bool
 }
 
 // New returns an empty graph with the given diagnostic name.
@@ -96,9 +95,6 @@ func New(name string) *Graph {
 // AddInput declares a primary input signal. Declaring the same input twice
 // is harmless; reusing the name of an existing node is an error.
 func (g *Graph) AddInput(name string) error {
-	if g.frozen {
-		return fmt.Errorf("dfg %s: graph is frozen", g.Name)
-	}
 	if name == "" {
 		return fmt.Errorf("dfg %s: empty input name", g.Name)
 	}
@@ -185,9 +181,6 @@ func (g *Graph) AddLoop(name string, sub *Graph, subOut string, binds map[string
 }
 
 func (g *Graph) checkNew(name string) error {
-	if g.frozen {
-		return fmt.Errorf("dfg %s: graph is frozen", g.Name)
-	}
 	if name == "" {
 		return fmt.Errorf("dfg %s: empty node name", g.Name)
 	}
@@ -315,11 +308,6 @@ func (g *Graph) Outputs() []string {
 
 // Nodes returns all nodes in ID order. The slice must not be modified.
 func (g *Graph) Nodes() []*Node { return g.nodes }
-
-// Freeze marks the graph immutable: further AddInput/AddOp/AddLoop
-// calls fail. Callers can freeze a graph once a schedule has been
-// computed from it so the structure cannot drift under the schedule.
-func (g *Graph) Freeze() { g.frozen = true }
 
 // MutuallyExclusive reports whether nodes a and b can never execute in the
 // same run: they carry tags for the same conditional but different branches.

@@ -126,21 +126,6 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestFreeze(t *testing.T) {
-	g := buildDiamond(t)
-	g.Freeze()
-	if err := g.AddInput("z"); err == nil {
-		t.Error("AddInput on frozen graph accepted")
-	}
-	if _, err := g.AddOp("z", op.Add, "a", "b"); err == nil {
-		t.Error("AddOp on frozen graph accepted")
-	}
-	c := g.Clone()
-	if _, err := c.AddOp("z", op.Add, "a", "b"); err != nil {
-		t.Errorf("clone should be unfrozen: %v", err)
-	}
-}
-
 func TestNodePanicsOnBadID(t *testing.T) {
 	g := buildDiamond(t)
 	defer func() {

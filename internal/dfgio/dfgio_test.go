@@ -1,6 +1,7 @@
 package dfgio
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -171,7 +172,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 		}
 	}
 	// The decoded schedule still simulates correctly.
-	if err := sim.CrossCheck(s2, nil, sim.RandomInputs(s2.Graph, 9)); err != nil {
+	if err := sim.CrossCheckCtx(context.Background(), s2, nil, sim.RandomInputs(s2.Graph, 9)); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,6 +1,7 @@
 package emit
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 
 func TestVerilogStructure(t *testing.T) {
 	ex := benchmarks.Facet()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 5})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestVerilogInputWires(t *testing.T) {
 	// names feed w_<name> wires via the port list. The emitter references
 	// operands as w_<sig>, so inputs used as operands appear as w_i1 etc.
 	ex := benchmarks.Diffeq()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 6})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestBits(t *testing.T) {
 
 func TestPipelinedRestartComment(t *testing.T) {
 	ex := benchmarks.Diffeq()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 8, Latency: 4})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 8, Latency: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +135,7 @@ func TestNamerCollisions(t *testing.T) {
 	if _, err := g.AddOp("x*y", op.Add, "x$y", "clk"); err != nil {
 		t.Fatal(err)
 	}
-	g.Freeze()
-	res, err := mfsa.Synthesize(g, mfsa.Options{CS: 4})
+	res, err := mfsa.SynthesizeCtx(context.Background(), g, mfsa.Options{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

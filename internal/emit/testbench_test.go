@@ -1,6 +1,7 @@
 package emit
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestTestbenchStructure(t *testing.T) {
 	ex := benchmarks.Facet()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 5})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestTestbenchStructure(t *testing.T) {
 
 func TestTestbenchErrors(t *testing.T) {
 	ex := benchmarks.Facet()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 5})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,17 +14,12 @@ import (
 	"repro/internal/report"
 )
 
-// AblationLiapunov contrasts the two §3.1 guiding functions under the
+// AblationLiapunovCtx contrasts the two §3.1 guiding functions under the
 // same fixed time constraint: the intended time-constrained V = x + n·y
 // (fill a step before opening the next) against the resource-constrained
 // V = cs·x + y (pack a unit's column first). Both produce legal
 // schedules; the table shows how the choice shifts the FU mix, the
 // design decision DESIGN.md §6 calls out.
-func AblationLiapunov() (*report.Table, error) {
-	return AblationLiapunovCtx(context.Background())
-}
-
-// AblationLiapunovCtx is AblationLiapunov with cancellation.
 func AblationLiapunovCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Ablation — Liapunov function choice under a time constraint",
 		"Ex", "T", "time-constrained V", "resource-constrained V")
@@ -53,7 +48,7 @@ func AblationLiapunovCtx(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// AblationWeights measures what each hardware term of MFSA's dynamic
+// AblationWeightsCtx measures what each hardware term of MFSA's dynamic
 // Liapunov function buys: the balanced optimizer against runs with the
 // multiplexer term disabled, the register term disabled, and the ALU
 // term disabled (time always dominates). On the full library the
@@ -63,11 +58,6 @@ func AblationLiapunovCtx(ctx context.Context) (*report.Table, error) {
 // for the remaining kinds — where operations crowd onto shared units and
 // the incremental multiplexer and register terms actively steer binding,
 // mirroring the restricted-library usage §6 describes.
-func AblationWeights() (*report.Table, error) {
-	return AblationWeightsCtx(context.Background())
-}
-
-// AblationWeightsCtx is AblationWeights with cancellation.
 func AblationWeightsCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Ablation — MFSA Liapunov terms on a shared-ALU library (total cost, µm²)",
 		"Ex", "T", "balanced", "no-MUX-term", "no-REG-term", "no-ALU-term")
@@ -113,16 +103,11 @@ func sharedALULibrary() (*library.Library, error) {
 	)
 }
 
-// AblationRedundantFrame contrasts the ⌈N_j/cs⌉ starting estimate for
+// AblationRedundantFrameCtx contrasts the ⌈N_j/cs⌉ starting estimate for
 // current_j (the redundant frame, RF) against starting every type at its
 // hard maximum (no RF exclusion): without RF the time-dominant function
 // spreads operations over all columns and the FU mix degrades toward the
 // ASAP profile.
-func AblationRedundantFrame() (*report.Table, error) {
-	return AblationRedundantFrameCtx(context.Background())
-}
-
-// AblationRedundantFrameCtx is AblationRedundantFrame with cancellation.
 func AblationRedundantFrameCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Ablation — redundant frame (RF) starting estimate",
 		"Ex", "T", "with RF", "without RF (current_j = max_j)")

@@ -6,12 +6,12 @@
 // DESIGN.md calls out. cmd/hlsbench prints these tables; the repository
 // root's bench_test.go wraps each in a testing.B benchmark.
 //
-// Every table cell is an independent synthesis run over a read-only
-// graph, so the builders fan the examples × constraints grid out over
-// the shared worker pool (internal/pool) and append rows in their
-// deterministic order afterwards; only Runtime stays sequential, because
-// it measures per-example wall time and concurrent runs would contend
-// for cores and distort the numbers.
+// Every table cell is an independent synthesis run over a read-only graph,
+// so the builders fan the examples × constraints grid out over the shared
+// worker pool (internal/pool) and append rows in their deterministic order
+// afterwards; only RuntimeCtx stays sequential, because it measures
+// per-example wall time and concurrent runs would contend for cores and
+// distort the numbers.
 package experiments
 
 import (
@@ -114,14 +114,10 @@ func mfsOptions(ex *benchmarks.Example, cs int, pipelined bool) mfs.Options {
 	return opt
 }
 
-// Table1 regenerates the MFS results table: for every example and every
-// time constraint, the functional-unit mix MFS settles on; structurally
-// pipelined examples get a second row using pipelined units.
-func Table1() (*report.Table, error) {
-	return Table1Ctx(context.Background())
-}
-
-// Table1Ctx is Table1 with cancellation.
+// Table1Ctx regenerates the MFS results table: for every example and
+// every time constraint, the functional-unit mix MFS settles on;
+// structurally pipelined examples get a second row using pipelined
+// units.
 func Table1Ctx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Table 1 — MFS results for the six design examples",
 		"Ex", "Cyc", "Feat", "T", "FUs", "FUs (pipelined)")
@@ -156,14 +152,9 @@ func Table1Ctx(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// Table2 regenerates the MFSA results table: for every example at its
-// tightest time constraint, both design styles' ALU set, total cost,
-// and register/multiplexer statistics.
-func Table2() (*report.Table, error) {
-	return Table2Ctx(context.Background())
-}
-
-// Table2Ctx is Table2 with cancellation.
+// Table2Ctx regenerates the MFSA results table: for every example at its
+// tightest time constraint, both design styles' ALU set, total cost, and
+// register/multiplexer statistics.
 func Table2Ctx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Table 2 — MFSA RTL results (NCR-like library, µm²)",
 		"Ex", "T", "Style", "ALUs", "Cost", "REG", "MUX", "MUXin")
@@ -198,14 +189,9 @@ func Table2Ctx(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// StyleOverhead reports style 2's total-cost overhead over style 1 per
-// example — the §6 claim of a 2–11% premium for self-testable
+// StyleOverheadCtx reports style 2's total-cost overhead over style 1
+// per example — the §6 claim of a 2–11% premium for self-testable
 // structures.
-func StyleOverhead() (*report.Table, error) {
-	return StyleOverheadCtx(context.Background())
-}
-
-// StyleOverheadCtx is StyleOverhead with cancellation.
 func StyleOverheadCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Style 2 overhead vs style 1 (total cost)",
 		"Ex", "T", "Style1", "Style2", "Overhead")
@@ -231,15 +217,10 @@ func StyleOverheadCtx(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// Compare reproduces §6's comparison against the literature: MFS versus
-// force-directed scheduling (the HAL baseline) on functional-unit
+// CompareCtx reproduces §6's comparison against the literature: MFS
+// versus force-directed scheduling (the HAL baseline) on functional-unit
 // counts, and MFSA versus FDS followed by a naive single-function
 // allocation on total RTL cost, on the same library.
-func Compare() (*report.Table, error) {
-	return CompareCtx(context.Background())
-}
-
-// CompareCtx is Compare with cancellation.
 func CompareCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Comparison — MFS/MFSA vs force-directed baseline",
 		"Ex", "T", "MFS FUs", "FDS FUs", "MFSA cost", "FDS+naive cost", "Δcost")
@@ -334,16 +315,11 @@ func lifetimes(s *sched.Schedule) []rtl.Interval {
 	return out
 }
 
-// Runtime measures wall-clock synthesis time per example, mirroring §6's
-// "< 0.2 s MFS, < 0.4 s MFSA per example on a SPARC SLC". Unlike the
-// result tables it deliberately stays sequential: concurrent runs would
-// contend for cores and inflate the per-example timings.
-func Runtime() (*report.Table, error) {
-	return RuntimeCtx(context.Background())
-}
-
-// RuntimeCtx is Runtime with cancellation, checked between examples and
-// inside each timed run.
+// RuntimeCtx measures wall-clock synthesis time per example, mirroring
+// §6's "< 0.2 s MFS, < 0.4 s MFSA per example on a SPARC SLC". Unlike
+// the result tables it deliberately stays sequential: concurrent runs
+// would contend for cores and inflate the per-example timings.
+// Cancellation is checked between examples and inside each timed run.
 func RuntimeCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("CPU time per example (this machine)",
 		"Ex", "T", "MFS", "MFSA")
@@ -402,17 +378,12 @@ func Figure2() (string, error) {
 	return "Figure 2 — move-frame construction (MF = PF − (RF ∪ FF))\n" + in.Render(), nil
 }
 
-// Phases reproduces the paper's §1 motivation quantitatively: "decisions
-// at higher levels (i.e. allocation) may dominate the results produced
-// by an independent scheduling phase". It compares full MFSA
+// PhasesCtx reproduces the paper's §1 motivation quantitatively:
+// "decisions at higher levels (i.e. allocation) may dominate the results
+// produced by an independent scheduling phase". It compares full MFSA
 // (simultaneous scheduling and allocation) against the sequential flows
 // MFS→Allocate and FDS→Allocate on the same library, where Allocate is
 // MFSA's binder with the time dimension frozen.
-func Phases() (*report.Table, error) {
-	return PhasesCtx(context.Background())
-}
-
-// PhasesCtx is Phases with cancellation.
 func PhasesCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Simultaneous vs sequential scheduling/allocation (total cost, µm²)",
 		"Ex", "T", "MFSA (simultaneous)", "MFS→alloc", "FDS→alloc")
@@ -455,14 +426,10 @@ func PhasesCtx(ctx context.Context) (*report.Table, error) {
 	return t, nil
 }
 
-// Interconnect regenerates the §5.7 interconnect study: per example, the
-// point-to-point link count, the per-signal vs. post-sharing effective
-// multiplexer input counts, and the bus-based alternative's size.
-func Interconnect() (*report.Table, error) {
-	return InterconnectCtx(context.Background())
-}
-
-// InterconnectCtx is Interconnect with cancellation.
+// InterconnectCtx regenerates the §5.7 interconnect study: per example,
+// the point-to-point link count, the per-signal vs. post-sharing
+// effective multiplexer input counts, and the bus-based alternative's
+// size.
 func InterconnectCtx(ctx context.Context) (*report.Table, error) {
 	t := report.New("Interconnect — §5.7 line sharing and bus alternative",
 		"Ex", "T", "links", "mux inputs (signal)", "mux inputs (shared)", "buses")

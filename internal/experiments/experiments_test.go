@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestFuNotation(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	tbl, err := Table1()
+	tbl, err := Table1Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	tbl, err := Table2()
+	tbl, err := Table2Ctx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestStyleOverheadShape(t *testing.T) {
-	tbl, err := StyleOverhead()
+	tbl, err := StyleOverheadCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestStyleOverheadShape(t *testing.T) {
 }
 
 func TestCompare(t *testing.T) {
-	tbl, err := Compare()
+	tbl, err := CompareCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestNaiveAllocate(t *testing.T) {
 }
 
 func TestRuntime(t *testing.T) {
-	tbl, err := Runtime()
+	tbl, err := RuntimeCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,20 +153,20 @@ func TestFigures(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	if tbl, err := AblationLiapunov(); err != nil || tbl.Len() == 0 {
+	if tbl, err := AblationLiapunovCtx(context.Background()); err != nil || tbl.Len() == 0 {
 		t.Errorf("AblationLiapunov: %v", err)
 	}
-	if tbl, err := AblationWeights(); err != nil || tbl.Len() != 6 {
+	if tbl, err := AblationWeightsCtx(context.Background()); err != nil || tbl.Len() != 6 {
 		t.Errorf("AblationWeights: %v", err)
 	}
-	tbl, err := AblationRedundantFrame()
+	tbl, err := AblationRedundantFrameCtx(context.Background())
 	if err != nil || tbl.Len() == 0 {
 		t.Fatalf("AblationRedundantFrame: %v", err)
 	}
 }
 
 func TestPhases(t *testing.T) {
-	tbl, err := Phases()
+	tbl, err := PhasesCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestPhases(t *testing.T) {
 }
 
 func TestInterconnectTable(t *testing.T) {
-	tbl, err := Interconnect()
+	tbl, err := InterconnectCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

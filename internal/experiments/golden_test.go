@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -22,16 +23,16 @@ func goldenCases(t *testing.T) map[string]string {
 		t.Fatal(err)
 	}
 	out["figure2.golden"] = f2
-	tables := map[string]func() (*report.Table, error){
-		"table1.golden":       Table1,
-		"table2.golden":       Table2,
-		"compare.golden":      Compare,
-		"phases.golden":       Phases,
-		"style.golden":        StyleOverhead,
-		"interconnect.golden": Interconnect,
+	tables := map[string]func(context.Context) (*report.Table, error){
+		"table1.golden":       Table1Ctx,
+		"table2.golden":       Table2Ctx,
+		"compare.golden":      CompareCtx,
+		"phases.golden":       PhasesCtx,
+		"style.golden":        StyleOverheadCtx,
+		"interconnect.golden": InterconnectCtx,
 	}
 	for name, fn := range tables {
-		tbl, err := fn()
+		tbl, err := fn(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

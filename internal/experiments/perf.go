@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
-	"repro/internal/grid"
 	"repro/internal/report"
 )
 
@@ -25,11 +24,6 @@ type PerfBaseline struct {
 	SchemaVersion int    `json:"schema_version"`
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
-
-	// NoIndex records whether the run disabled the grid occupancy index
-	// (`hlsbench -noindex`), so an A/B snapshot can never be mistaken for
-	// the indexed baseline it is compared against.
-	NoIndex bool `json:"noindex,omitempty"`
 
 	// Tables is the wall time of one regeneration of each evaluation
 	// table, in hlsbench's print order.
@@ -74,22 +68,16 @@ func perfSweepRange() (*benchmarks.Example, int, int) {
 	return ex, cp, cp + 12
 }
 
-// MeasurePerf times every evaluation table regeneration and the
-// sequential and parallel sweep paths (best of three runs each, to
-// shave scheduler noise — a single run of a millisecond-scale table is
+// MeasurePerfCtx times every evaluation table regeneration and the
+// sequential and parallel sweep paths (best of three runs each, to shave
+// scheduler noise — a single run of a millisecond-scale table is
 // noise-dominated and would flake the CI comparison), and returns the
-// snapshot.
-func MeasurePerf() (*PerfBaseline, error) {
-	return MeasurePerfCtx(context.Background())
-}
-
-// MeasurePerfCtx is MeasurePerf with cancellation, observed by every
-// table regeneration and every timed sweep repetition.
+// snapshot. Cancellation is observed by every table regeneration and
+// every timed sweep repetition.
 func MeasurePerfCtx(ctx context.Context) (*PerfBaseline, error) {
 	p := &PerfBaseline{
 		SchemaVersion: 1,
 		GoVersion:     runtime.Version(),
-		NoIndex:       grid.DisableIndex,
 	}
 	tables := []struct {
 		name string

@@ -12,7 +12,6 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/core"
 	"repro/internal/gen"
-	"repro/internal/grid"
 	"repro/internal/library"
 	"repro/internal/op"
 )
@@ -27,11 +26,6 @@ type ScaleBaseline struct {
 	SchemaVersion int    `json:"schema_version"`
 	GoVersion     string `json:"go_version"`
 	GOMAXPROCS    int    `json:"gomaxprocs"`
-
-	// NoIndex records whether the run disabled the grid occupancy index
-	// (`hlsbench -scale -noindex`), so the nightly A/B rung's snapshot
-	// is self-describing.
-	NoIndex bool `json:"noindex,omitempty"`
 
 	// MaxNodes is the ladder cap the snapshot was measured under
 	// (0 = full ladder). The committed baseline stops at 10k so
@@ -65,7 +59,7 @@ type ScalePoint struct {
 }
 
 // IncrementalPoint compares a one-node edit's incremental re-synthesis
-// (core.Resynthesize replaying the recorded trajectory) against the
+// (core.ResynthesizeCtx replaying the recorded trajectory) against the
 // from-scratch run on the same edited graph, asserting at measurement
 // time that the two produced identical results.
 type IncrementalPoint struct {
@@ -77,14 +71,10 @@ type IncrementalPoint struct {
 	Identical     bool    `json:"identical_results"`
 }
 
-// MeasureScale measures the scale ladder up to maxNodes (0 = the full
+// MeasureScaleCtx measures the scale ladder up to maxNodes (0 = the full
 // ladder, 100k included) and the incremental re-synthesis points.
-func MeasureScale(maxNodes int) (*ScaleBaseline, error) {
-	return MeasureScaleCtx(context.Background(), maxNodes)
-}
-
-// MeasureScaleCtx is MeasureScale with cancellation, observed between
-// and inside every rung (the synthesis engines poll the context).
+// Cancellation is observed between and inside every rung (the synthesis
+// engines poll the context).
 //
 // Fresh rungs run with Config.NoTrace: a pure batch run has no replay
 // trajectory to keep, and the trace would only add allocation noise to
@@ -95,7 +85,6 @@ func MeasureScaleCtx(ctx context.Context, maxNodes int) (*ScaleBaseline, error) 
 	b := &ScaleBaseline{
 		SchemaVersion: 1,
 		GoVersion:     runtime.Version(),
-		NoIndex:       grid.DisableIndex,
 		MaxNodes:      maxNodes,
 	}
 	// The incremental points run first: the big ladder rungs leave a

@@ -145,14 +145,9 @@ func serveSweepWave() ([]serveRequest, error) {
 	return reqs, nil
 }
 
-// MeasureServe runs the replay load test against a fresh in-process
-// daemon and returns the snapshot.
-func MeasureServe() (*ServeBaseline, error) {
-	return MeasureServeCtx(context.Background())
-}
-
-// MeasureServeCtx is MeasureServe with cancellation: every issued
-// request carries ctx, so a cancelled measurement unwinds promptly.
+// MeasureServeCtx runs the replay load test against a fresh in-process
+// daemon and returns the snapshot. Every issued request carries ctx, so
+// a cancelled measurement unwinds promptly.
 func MeasureServeCtx(ctx context.Context) (*ServeBaseline, error) {
 	return measureServe(ctx, serveClients, serveRequestsPerClient)
 }

@@ -12,11 +12,11 @@
 // Frames are dense bitsets, not hash sets: a Frame is a row-major
 // []uint64 over its bounding box, one word group per control step, so
 // Rect is a mask fill, Union and Minus are per-word | and &^, and
-// membership is a shift-and-test. Scan and ScanColumns walk the set bits
-// in (step, index) or (index, step) order without materializing a slice;
-// for the paper's linear Liapunov functions those orders are exactly
-// non-decreasing energy (see liapunov.Ordered), which is what turns the
-// schedulers' min-energy search into "first legal bit wins".
+// membership is a shift-and-test. Scan walks the set bits in (step,
+// index) order without materializing a slice, and Table.ScanPlaceable
+// walks a move-frame window in either liapunov.Ordered order, which is
+// what turns the schedulers' min-energy search into "first legal bit
+// wins".
 package grid
 
 import (
@@ -296,28 +296,6 @@ func (f Frame) Scan(yield func(Pos) bool) bool {
 	return true
 }
 
-// ScanColumns visits every position in column-major (index, step) order —
-// "use another step before adding hardware". It stops early when yield
-// returns false, and reports whether the walk ran to completion. For a
-// resource-constrained Liapunov function V = cs·x + y with cs greater
-// than every step, this order is strictly increasing energy.
-//
-//hls:noalloc
-func (f Frame) ScanColumns(yield func(Pos) bool) bool {
-	wpr := wordsPerRow(f.max)
-	for i := 0; i < f.max; i++ {
-		w, mask := i/64, uint64(1)<<uint(i%64)
-		for s := 0; s < f.steps; s++ {
-			if f.words[s*wpr+w]&mask != 0 {
-				if !yield(Pos{Step: s + 1, Index: i + 1}) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // Positions returns the frame's positions sorted by (step, index) so
 // iteration is deterministic. The bitset stores them in exactly that
 // order, so this is a single pre-sized scan, no sort.
@@ -374,10 +352,10 @@ type Table struct {
 
 // DisableIndex, when set before any tables are used, makes ScanPlaceable
 // take its naive per-cell CanPlace path instead of the word-scan fast
-// path. The placements are identical either way — the knob exists for
-// the A/B measurement (`hlsbench -noindex`) and for the bit-identity
-// cross-check tests, in the mold of mfs's disableOrderedWalk. It is not
-// safe to flip concurrently with running schedulers.
+// path. The placements are identical either way. Only tests set it, as
+// the reference for the bit-identity cross-checks, in the mold of mfs's
+// disableOrderedWalk. It is not safe to flip concurrently with running
+// schedulers.
 var DisableIndex = false
 
 // NewTable returns an empty cs × max table for the given FU type.
@@ -543,27 +521,12 @@ func (t *Table) Remove(id dfg.NodeID, p Pos, cycles int) {
 	}
 }
 
-// UsedColumns returns the highest occupied column index, i.e. how many FU
-// instances of this type the current placement uses.
-func (t *Table) UsedColumns() int {
-	max := 0
-	for c, occ := range t.cells {
-		if len(occ) == 0 {
-			continue
-		}
-		if idx := c/t.CS + 1; idx > max {
-			max = idx
-		}
-	}
-	return max
-}
-
 // walkIndexed reports whether ScanPlaceable may use the word-scan index
 // for the given order and duration, or must take the naive per-cell
 // path. The decision is a pure function of table shape so tests can pin
 // which path a configuration runs (TestIndexPathSelection):
 //
-//   - DisableIndex forces the naive path (the -noindex A/B knob);
+//   - DisableIndex forces the naive path (the tests' reference);
 //   - ColMajor with Latency folding is unindexed — folding wraps an
 //     op's footprint across row words, which breaks the shifted-mask
 //     busy-start trick (and never occurs via the paper's standard
@@ -748,22 +711,4 @@ func (t *Table) scanColMajor(g *dfg.Graph, id dfg.NodeID, excl bool, stepLo, ste
 		}
 	}
 	return true
-}
-
-// OccupiedFrame returns every cell holding at least one operation that is
-// NOT mutually exclusive with id — the positions id cannot take for
-// occupancy reasons.
-func (t *Table) OccupiedFrame(g *dfg.Graph, id dfg.NodeID) Frame {
-	f := Frame{steps: t.CS, max: t.Max, words: make([]uint64, t.CS*wordsPerRow(t.Max))}
-	wpr := wordsPerRow(t.Max)
-	for c, occ := range t.cells {
-		for _, o := range occ {
-			if !g.MutuallyExclusive(id, o) {
-				s, i := c%t.CS, c/t.CS
-				f.words[s*wpr+i/64] |= uint64(1) << uint(i%64)
-				break
-			}
-		}
-	}
-	return f
 }

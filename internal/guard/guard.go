@@ -1,7 +1,8 @@
 // Package guard centralizes the hardening primitives the synthesis
 // engine needs to run as a long-lived service: the panic-to-error
-// recovery boundary (Recover, used by the core entry points and the
-// worker pool so no internal bug can crash a host process), typed
+// recovery boundary (Recover, used by the hls façade, cli.Main, the
+// serve handlers and the worker pool so no internal bug can crash a
+// host process), typed
 // resource-limit and range errors, and the default resource budgets
 // shared by the behavioral frontend, the schedulers and the simulator.
 //
@@ -41,7 +42,7 @@ const (
 // inside the engine (or data violating a documented API invariant)
 // crossed the recovery boundary instead of crashing the host process.
 type InternalError struct {
-	// Op is the entry point that recovered, e.g. "core.Synthesize".
+	// Op is the entry point that recovered, e.g. "hls.Synthesize".
 	Op string
 
 	// Value is the recovered panic value.
@@ -66,7 +67,7 @@ func NewInternalError(op string, value any) *InternalError {
 // point:
 //
 //	func Synthesize(...) (d *Design, err error) {
-//		defer guard.Recover("core.Synthesize", &err)
+//		defer guard.Recover("hls.Synthesize", &err)
 //		...
 //	}
 //

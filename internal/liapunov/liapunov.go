@@ -125,18 +125,3 @@ func CheckProperties(f Func, cs, max int) error {
 	}
 	return nil
 }
-
-// CheckTrajectory verifies property 2 along a concrete movement history:
-// every move must strictly decrease the energy. The schedulers' movement
-// mechanism (re-placements during local rescheduling) is validated with
-// this in tests.
-func CheckTrajectory(f Func, moves []grid.Pos) error {
-	for i := 1; i < len(moves); i++ {
-		a, b := f.Value(moves[i-1]), f.Value(moves[i])
-		if b >= a {
-			return fmt.Errorf("liapunov %s: move %d: V %v -> %v does not decrease",
-				f.Name(), i, a, b)
-		}
-	}
-	return nil
-}

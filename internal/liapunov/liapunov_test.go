@@ -78,27 +78,6 @@ func TestCheckPropertiesRejects(t *testing.T) {
 	}
 }
 
-func TestTrajectory(t *testing.T) {
-	f := TimeConstrained{N: 4}
-	good := []grid.Pos{
-		{Step: 6, Index: 4}, {Step: 6, Index: 2}, {Step: 5, Index: 3}, {Step: 3, Index: 1},
-	}
-	if err := CheckTrajectory(f, good); err != nil {
-		t.Errorf("monotone trajectory rejected: %v", err)
-	}
-	bad := []grid.Pos{{Step: 3, Index: 1}, {Step: 3, Index: 1}}
-	if err := CheckTrajectory(f, bad); err == nil {
-		t.Error("stationary move accepted")
-	}
-	up := []grid.Pos{{Step: 3, Index: 1}, {Step: 4, Index: 1}}
-	if err := CheckTrajectory(f, up); err == nil {
-		t.Error("energy-increasing move accepted")
-	}
-	if err := CheckTrajectory(f, nil); err != nil {
-		t.Errorf("empty trajectory rejected: %v", err)
-	}
-}
-
 func TestMovePropertyQuick(t *testing.T) {
 	// Property (2) of the theorem: x' < x and y' < y implies V' < V, for
 	// both static functions.

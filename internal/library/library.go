@@ -47,9 +47,6 @@ func (u *Unit) Can(k op.Kind) bool {
 	return false
 }
 
-// Multifunction reports whether the unit performs more than one kind.
-func (u *Unit) Multifunction() bool { return len(u.Ops) > 1 }
-
 // Pipelined reports whether the unit has more than one pipeline stage.
 func (u *Unit) Pipelined() bool { return u.Stages > 1 }
 

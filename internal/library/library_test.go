@@ -34,8 +34,8 @@ func TestUnitCan(t *testing.T) {
 	if u.Can(op.Mul) {
 		t.Error("composed ALU claims mul")
 	}
-	if !u.Multifunction() {
-		t.Error("two-op unit not multifunction")
+	if len(u.Ops) != 2 {
+		t.Errorf("composed ALU ops = %v, want two", u.Ops)
 	}
 	if u.Pipelined() {
 		t.Error("composed unit should not be pipelined")
@@ -203,7 +203,7 @@ func TestSinglePrefersCheapest(t *testing.T) {
 	if u == nil {
 		t.Fatal("no adder")
 	}
-	if u.Multifunction() {
+	if len(u.Ops) > 1 {
 		t.Errorf("Single(add) picked multifunction %s", u.Name)
 	}
 	if u.Area != singleArea[op.Add] {

@@ -17,7 +17,7 @@ import (
 func synthUnit(t *testing.T, ex *benchmarks.Example) *lint.Unit {
 	t.Helper()
 	cfg := core.Config{CS: ex.TimeConstraints[0], ClockNs: ex.ClockNs}
-	d, err := core.Synthesize(ex.Graph, cfg)
+	d, err := core.SynthesizeCtx(context.Background(), ex.Graph, cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", ex.Name, err)
 	}
@@ -41,7 +41,7 @@ func TestCertifyCleanBenchmarks(t *testing.T) {
 	for _, ex := range benchmarks.All() {
 		for _, style := range []int{1, 2} {
 			cfg := core.Config{CS: ex.TimeConstraints[0], ClockNs: ex.ClockNs, Style: style}
-			d, err := core.Synthesize(ex.Graph, cfg)
+			d, err := core.SynthesizeCtx(context.Background(), ex.Graph, cfg)
 			if err != nil {
 				t.Fatalf("%s style %d: %v", ex.Name, style, err)
 			}
@@ -173,7 +173,7 @@ func hasSimConfirmed(ds diag.List) bool {
 // constraint.
 func TestSweepPointsCertify(t *testing.T) {
 	ex := benchmarks.Facet()
-	points, err := core.Sweep(ex.Graph, core.Config{}, 4, 7)
+	points, err := core.SweepCtx(context.Background(), ex.Graph, core.Config{}, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSweepPointsCertify(t *testing.T) {
 		t.Fatal("empty sweep")
 	}
 	for _, p := range points {
-		d, err := core.Synthesize(ex.Graph, core.Config{CS: p.CS})
+		d, err := core.SynthesizeCtx(context.Background(), ex.Graph, core.Config{CS: p.CS})
 		if err != nil {
 			t.Fatalf("cs=%d: %v", p.CS, err)
 		}

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -20,7 +21,7 @@ import (
 //     render(parse(render(parse(x)))) == render(parse(x)).
 func FuzzParseNetlist(f *testing.F) {
 	ex := benchmarks.Facet()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 4})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 4})
 	if err != nil {
 		f.Fatal(err)
 	}

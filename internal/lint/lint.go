@@ -121,16 +121,12 @@ type Options struct {
 	Parallelism int
 }
 
-// Run executes the selected analyzers over the unit concurrently and
+// RunCtx executes the selected analyzers over the unit concurrently and
 // returns the aggregated, deterministically sorted findings. A pass
 // that panics is converted into an HL0001 error diagnostic rather than
-// crashing the run. Run fails only on an unknown analyzer name.
-func Run(u *Unit, opts Options) (diag.List, error) {
-	return RunCtx(context.Background(), u, opts)
-}
-
-// RunCtx is Run with cancellation: no new analyzer starts once ctx is
-// done, and the call returns ctx.Err() instead of partial findings.
+// crashing the run. RunCtx fails on an unknown analyzer name and on
+// cancellation: no new analyzer starts once ctx is done, and the call
+// returns ctx.Err() instead of partial findings.
 func RunCtx(ctx context.Context, u *Unit, opts Options) (diag.List, error) {
 	selected, err := selectAnalyzers(opts.Analyzers)
 	if err != nil {

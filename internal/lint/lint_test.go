@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"regexp"
 	"strings"
 	"testing"
@@ -19,7 +20,7 @@ import (
 func mfsUnit(t *testing.T) *lint.Unit {
 	t.Helper()
 	ex := benchmarks.Facet()
-	d, err := core.ScheduleOnly(ex.Graph, core.Config{CS: 4})
+	d, err := core.ScheduleOnlyCtx(context.Background(), ex.Graph, core.Config{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func mfsUnit(t *testing.T) *lint.Unit {
 func mfsaUnit(t *testing.T) *lint.Unit {
 	t.Helper()
 	ex := benchmarks.Facet()
-	d, err := core.Synthesize(ex.Graph, core.Config{CS: 4})
+	d, err := core.SynthesizeCtx(context.Background(), ex.Graph, core.Config{CS: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func mfsaUnit(t *testing.T) *lint.Unit {
 
 func runOne(t *testing.T, u *lint.Unit, analyzer string) diag.List {
 	t.Helper()
-	ds, err := lint.Run(u, lint.Options{Analyzers: []string{analyzer}})
+	ds, err := lint.RunCtx(context.Background(), u, lint.Options{Analyzers: []string{analyzer}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func traceStepFor(t *testing.T, u *lint.Unit, name string) *sched.TraceStep {
 
 func TestCleanDesignsHaveNoFindings(t *testing.T) {
 	for name, u := range map[string]*lint.Unit{"mfs": mfsUnit(t), "mfsa": mfsaUnit(t)} {
-		ds, err := lint.Run(u, lint.Options{})
+		ds, err := lint.RunCtx(context.Background(), u, lint.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,7 +359,7 @@ func format(ds diag.List) string {
 }
 
 func TestUnknownAnalyzerFails(t *testing.T) {
-	if _, err := lint.Run(mfsUnit(t), lint.Options{Analyzers: []string{"nope"}}); err == nil {
+	if _, err := lint.RunCtx(context.Background(), mfsUnit(t), lint.Options{Analyzers: []string{"nope"}}); err == nil {
 		t.Fatal("expected an error for an unknown analyzer")
 	}
 }
@@ -393,7 +394,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 	u.Netlist += "\nassign w_add1 = phantom;\nwire [31:0] w_add1;\n"
 	var base diag.List
 	for _, par := range []int{1, 2, 0} {
-		ds, err := lint.Run(u, lint.Options{Parallelism: par})
+		ds, err := lint.RunCtx(context.Background(), u, lint.Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,17 +444,17 @@ func TestBenchmarksAuditClean(t *testing.T) {
 			if ex.Latency != nil {
 				cfg.Latency = ex.Latency(cs)
 			}
-			d, err := core.ScheduleOnly(ex.Graph, cfg)
+			d, err := core.ScheduleOnlyCtx(context.Background(), ex.Graph, cfg)
 			audit(ex.Name+"/mfs", d, err)
 			if len(ex.PipelinedOps) > 0 {
 				cfg.PipelinedOps = ex.PipelinedOps
-				d, err := core.ScheduleOnly(ex.Graph, cfg)
+				d, err := core.ScheduleOnlyCtx(context.Background(), ex.Graph, cfg)
 				audit(ex.Name+"/mfs-pipelined", d, err)
 			}
 		}
 		for _, style := range []int{1, 2} {
 			cfg := core.Config{CS: ex.TimeConstraints[0], ClockNs: ex.ClockNs, Style: style, Lint: true}
-			if _, err := core.Synthesize(ex.Graph, cfg); err != nil {
+			if _, err := core.SynthesizeCtx(context.Background(), ex.Graph, cfg); err != nil {
 				t.Errorf("%s style %d with the lint gate on: %v", ex.Name, style, err)
 			}
 		}

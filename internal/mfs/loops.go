@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dfg"
-	"repro/internal/op"
 	"repro/internal/sched"
 )
 
@@ -17,20 +16,15 @@ type LoopDesign struct {
 	Inner    map[dfg.NodeID]*LoopDesign
 }
 
-// ScheduleLoops implements the paper's nested-loop procedure: the
+// ScheduleLoopsCtx implements the paper's nested-loop procedure: the
 // innermost loop bodies are scheduled first, each under its own local
 // time constraint (the loop node's Cycles, set by the user per §5.2);
 // the enclosing graph then treats each loop as a single multicycle
 // operation with that execution time. The same Options apply at every
 // level except the time constraint, which is per-loop, and pipelining
-// options, which apply only to the outermost level.
-func ScheduleLoops(g *dfg.Graph, opt Options) (*LoopDesign, error) {
-	return ScheduleLoopsCtx(context.Background(), g, opt)
-}
-
-// ScheduleLoopsCtx is ScheduleLoops with cancellation: ctx is observed
-// by every nested body schedule and by the outer schedule, so a
-// cancelled hierarchical run returns ctx.Err() promptly at any depth.
+// options, which apply only to the outermost level. ctx is observed by
+// every nested body schedule and by the outer schedule, so a cancelled
+// hierarchical run returns ctx.Err() promptly at any depth.
 func ScheduleLoopsCtx(ctx context.Context, g *dfg.Graph, opt Options) (*LoopDesign, error) {
 	design := &LoopDesign{Inner: make(map[dfg.NodeID]*LoopDesign)}
 	for _, n := range g.Nodes() {
@@ -59,27 +53,4 @@ func ScheduleLoopsCtx(ctx context.Context, g *dfg.Graph, opt Options) (*LoopDesi
 	}
 	design.Schedule = outer
 	return design, nil
-}
-
-// AddLoopControl appends the paper's loop-control operations to a loop
-// body (§5.2: "adding two more operations (increment and comparison)
-// into the DFG corresponding to the body of the loop"): given the name
-// of the iteration counter input and of the bound input, it adds
-// counter+1 and a counter+1 < bound comparison, returning the names of
-// the two new signals. Both inputs must already exist in the body.
-//
-//hls:sharedok construction-phase API: body is the caller's under-construction loop graph, documented to be extended in place, never a scheduled shared input
-func AddLoopControl(body *dfg.Graph, counter, bound string) (next, cont string, err error) {
-	next = counter + "_next"
-	cont = counter + "_cont"
-	if err := body.AddInput("one"); err != nil {
-		return "", "", err
-	}
-	if _, err := body.AddOp(next, op.Add, counter, "one"); err != nil {
-		return "", "", err
-	}
-	if _, err := body.AddOp(cont, op.Lt, next, bound); err != nil {
-		return "", "", err
-	}
-	return next, cont, nil
 }

@@ -71,7 +71,7 @@ type Options struct {
 	// search, which probes a window of candidate cs values speculatively
 	// and commits the smallest feasible one: 0 = GOMAXPROCS, 1 =
 	// sequential, n > 1 = at most n concurrent probes. Every setting
-	// returns the identical schedule (see pool.SearchMin).
+	// returns the identical schedule (see pool.SearchMinCtx).
 	Parallelism int
 
 	// NoTrace skips recording the move trajectory (Schedule.Trace). The
@@ -145,11 +145,11 @@ func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*s
 }
 
 // scheduleResourceConstrained finds the smallest feasible cs under the
-// resource limits. Candidate cs values are independent fixed-cs runs, so
-// a window of them is probed speculatively in parallel and the smallest
-// feasible one commits — pool.SearchMin guarantees the result is exactly
-// the sequential loop's. Frames are computed once at the critical path
-// and shifted per candidate instead of recomputed (Frames.Shifted).
+// resource limits. Candidate cs values are independent fixed-cs runs, so a
+// window of them is probed speculatively in parallel and the smallest
+// feasible one commits — pool.SearchMinCtx guarantees the result is
+// exactly the sequential loop's. Frames are computed once at the critical
+// path and shifted per candidate instead of recomputed (Frames.Shifted).
 func scheduleResourceConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedule, error) {
 	if len(opt.Limits) == 0 {
 		return nil, fmt.Errorf("mfs: resource-constrained scheduling needs Limits")

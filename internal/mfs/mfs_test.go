@@ -1,6 +1,7 @@
 package mfs
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -179,23 +180,6 @@ func TestFunctionalPipelining(t *testing.T) {
 	if inst["*"] < (6+lat-1)/lat {
 		t.Errorf("multipliers = %d below folded bound", inst["*"])
 	}
-	// Partition view: every op is in exactly one partition.
-	p1, p2 := FunctionalPartition(s)
-	if len(p1)+len(p2) != ex.Graph.Len() {
-		t.Errorf("partition sizes %d+%d != %d", len(p1), len(p2), ex.Graph.Len())
-	}
-	if len(p1) == 0 {
-		t.Error("empty first partition")
-	}
-	// Without latency, FunctionalPartition puts everything in p1.
-	s0, err := Schedule(ex.Graph, Options{CS: cs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1, q2 := FunctionalPartition(s0)
-	if len(q1) != ex.Graph.Len() || q2 != nil {
-		t.Errorf("unpipelined partition = %d/%d", len(q1), len(q2))
-	}
 }
 
 func TestEWFTrend(t *testing.T) {
@@ -260,7 +244,7 @@ func TestLoopsNested(t *testing.T) {
 	outer.SetCycles(oid, 4) // middle local time constraint
 	outer.AddOp("out", op.Add, "msum", "y")
 
-	design, err := ScheduleLoops(outer, Options{CS: 5})
+	design, err := ScheduleLoopsCtx(context.Background(), outer, Options{CS: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,33 +264,6 @@ func TestLoopsNested(t *testing.T) {
 	}
 	if err := mid.Schedule.Verify(nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddLoopControl(t *testing.T) {
-	body := dfg.New("body")
-	body.AddInput("i")
-	body.AddInput("n")
-	body.AddOp("work", op.Add, "i", "i")
-	next, cont, err := AddLoopControl(body, "i", "n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := body.Lookup(next); !ok {
-		t.Errorf("increment %q missing", next)
-	}
-	if _, ok := body.Lookup(cont); !ok {
-		t.Errorf("comparison %q missing", cont)
-	}
-	vals, err := body.Eval(map[string]int64{"i": 3, "n": 10, "one": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals[next] != 4 || vals[cont] != 1 {
-		t.Errorf("loop control evaluated to %v", vals)
-	}
-	if _, _, err := AddLoopControl(body, "i", "n"); err == nil {
-		t.Error("second AddLoopControl accepted (duplicate names)")
 	}
 }
 

@@ -2,38 +2,10 @@ package mfs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dfg"
 	"repro/internal/sched"
 )
-
-// FunctionalPartition reports the two-partition view of a functionally
-// pipelined schedule from §5.5.2: with cs control steps and latency L the
-// paper splits the doubled DFG at step ⌈(cs+L)/2⌉ — DFGp1 holds the
-// operations scheduled at or before the split, DFGp2 the rest. The folded
-// schedule produced with Options.Latency already satisfies the modular
-// resource constraints the two-instance construction enforces; this
-// function exposes the partition for reporting and tests.
-func FunctionalPartition(s *sched.Schedule) (p1, p2 []dfg.NodeID) {
-	if s.Latency <= 0 {
-		for _, n := range s.Graph.Nodes() {
-			p1 = append(p1, n.ID)
-		}
-		return p1, nil
-	}
-	split := (s.CS + s.Latency + 1) / 2
-	for _, n := range s.Graph.Nodes() {
-		if s.Placements[n.ID].Step <= split {
-			p1 = append(p1, n.ID)
-		} else {
-			p2 = append(p2, n.ID)
-		}
-	}
-	sort.Slice(p1, func(i, j int) bool { return p1[i] < p1[j] })
-	sort.Slice(p2, func(i, j int) bool { return p2[i] < p2[j] })
-	return p1, p2
-}
 
 // ExpandPipelined materializes one period of a functionally pipelined
 // schedule as the paper's two-instance construction (§5.5.2 step 1): the

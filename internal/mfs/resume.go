@@ -146,8 +146,3 @@ func intMapsEqual(a, b map[string]int) bool {
 	}
 	return true
 }
-
-// Resume is ResumeCtx without cancellation.
-func Resume(g *dfg.Graph, opt Options, prev *sched.Schedule, oldFrames sched.Frames, seeds []dfg.NodeID) (*sched.Schedule, error) {
-	return ResumeCtx(context.Background(), g, opt, prev, oldFrames, seeds)
-}

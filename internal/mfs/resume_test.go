@@ -1,6 +1,7 @@
 package mfs
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestResumeAddSinkMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Resume(c, opt, prev, prev.Frames, []dfg.NodeID{nid})
+			got, err := ResumeCtx(context.Background(), c, opt, prev, prev.Frames, []dfg.NodeID{nid})
 			if err != nil {
 				t.Fatalf("%s: resume: %v", g.Name, err)
 			}
@@ -96,7 +97,7 @@ func TestResumeRetimeMatchesFresh(t *testing.T) {
 			if err := c.SetCycles(nid, c.Node(nid).Cycles%2+1); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Resume(c, opt, prev, prev.Frames, []dfg.NodeID{nid})
+			got, err := ResumeCtx(context.Background(), c, opt, prev, prev.Frames, []dfg.NodeID{nid})
 			if err != nil {
 				t.Fatalf("%s retime %d: resume: %v", g.Name, id, err)
 			}
@@ -128,7 +129,7 @@ func TestResumeChainedMatchesFresh(t *testing.T) {
 	if err := c.SetDelayNs(nid, 10); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c, opt, prev, prev.Frames, []dfg.NodeID{nid})
+	got, err := ResumeCtx(context.Background(), c, opt, prev, prev.Frames, []dfg.NodeID{nid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestResumeFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c, opt, prevNoTrace, prevNoTrace.Frames, []dfg.NodeID{nid})
+	got, err := ResumeCtx(context.Background(), c, opt, prevNoTrace, prevNoTrace.Frames, []dfg.NodeID{nid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestResumeFallbacks(t *testing.T) {
 	}
 	samePlacements(t, "noTrace-fallback", got, want)
 
-	if _, err := Resume(c, opt, nil, nil, []dfg.NodeID{nid}); err != nil {
+	if _, err := ResumeCtx(context.Background(), c, opt, nil, nil, []dfg.NodeID{nid}); err != nil {
 		t.Fatalf("nil prev: %v", err)
 	}
 }
@@ -193,7 +194,7 @@ func TestResumeResumedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := Resume(c1, opt, prev, prev.Frames, []dfg.NodeID{n1})
+	mid, err := ResumeCtx(context.Background(), c1, opt, prev, prev.Frames, []dfg.NodeID{n1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestResumeResumedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c2, opt, mid, mid.Frames, []dfg.NodeID{n2})
+	got, err := ResumeCtx(context.Background(), c2, opt, mid, mid.Frames, []dfg.NodeID{n2})
 	if err != nil {
 		t.Fatal(err)
 	}

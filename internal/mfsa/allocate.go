@@ -12,7 +12,7 @@ import (
 	"repro/internal/sched"
 )
 
-// Allocate binds an externally produced schedule (MFS, force-directed,
+// AllocateCtx binds an externally produced schedule (MFS, force-directed,
 // list-scheduled, ...) to a datapath using MFSA's cost machinery with
 // the time dimension frozen: every operation keeps its control step and
 // only the ALU choice is optimized (incremental ALU + MUX + REG terms,
@@ -21,12 +21,7 @@ import (
 // it with full MFSA to reproduce that motivation quantitatively.
 //
 // The input schedule's FU types are ignored; only steps matter. Style
-// and weights behave as in Synthesize.
-func Allocate(s *sched.Schedule, opt Options) (*Result, error) {
-	return AllocateCtx(context.Background(), s, opt)
-}
-
-// AllocateCtx is Allocate with cancellation: ctx is checked before every
+// and weights behave as in SynthesizeCtx. ctx is checked before every
 // binding decision, so a cancelled run returns ctx.Err() within one
 // operation's worth of work.
 func AllocateCtx(ctx context.Context, s *sched.Schedule, opt Options) (*Result, error) {
@@ -97,7 +92,7 @@ func allocationOrder(s *sched.Schedule) []dfg.NodeID {
 }
 
 func allocState(g *dfg.Graph, opt Options, unitsByOp map[op.Kind][]*library.Unit) *state {
-	// Reuse the Synthesize state with trivial frames; the binder never
+	// Reuse the SynthesizeCtx state with trivial frames; the binder never
 	// consults them.
 	return newState(g, opt, make(sched.Frames, g.Len()), unitsByOp)
 }

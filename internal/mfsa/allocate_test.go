@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/baseline"
@@ -18,7 +19,7 @@ func TestAllocateMFSSchedules(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
-		res, err := Allocate(s, Options{})
+		res, err := AllocateCtx(context.Background(), s, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
@@ -35,7 +36,7 @@ func TestAllocateMFSSchedules(t *testing.T) {
 					s.Placements[n.ID].Step, res.Schedule.Placements[n.ID].Step)
 			}
 		}
-		if err := sim.CrossCheck(res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 5)); err != nil {
+		if err := sim.CrossCheckCtx(context.Background(), res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 5)); err != nil {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
 	}
@@ -47,14 +48,14 @@ func TestAllocateFDSSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Allocate(s, Options{})
+	res, err := AllocateCtx(context.Background(), s, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cost.Total <= 0 {
 		t.Fatal("no cost")
 	}
-	if err := sim.CrossCheck(res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 5)); err != nil {
+	if err := sim.CrossCheckCtx(context.Background(), res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 5)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -65,7 +66,7 @@ func TestAllocateStyle2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Allocate(s, Options{Style: Style2})
+	res, err := AllocateCtx(context.Background(), s, Options{Style: Style2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestAllocateBeatsNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Allocate(s, Options{})
+		res, err := AllocateCtx(context.Background(), s, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,12 +110,12 @@ func TestAllocateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Allocate(s, Options{Lib: lib}); err == nil {
+	if _, err := AllocateCtx(context.Background(), s, Options{Lib: lib}); err == nil {
 		t.Error("unservable library accepted")
 	}
 	// Unscheduled node.
 	delete(s.Placements, 0)
-	if _, err := Allocate(s, Options{}); err == nil {
+	if _, err := AllocateCtx(context.Background(), s, Options{}); err == nil {
 		t.Error("partial schedule accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -77,13 +78,13 @@ func indexCases(t *testing.T) []indexCase {
 func TestIndexedSynthesisMatchesDisabledIndex(t *testing.T) {
 	for _, tc := range indexCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			fast, err := Synthesize(tc.g, tc.opt)
+			fast, err := SynthesizeCtx(context.Background(), tc.g, tc.opt)
 			if err != nil {
 				t.Fatalf("indexed: %v", err)
 			}
 			grid.DisableIndex = true
 			defer func() { grid.DisableIndex = false }()
-			slow, err := Synthesize(tc.g, tc.opt)
+			slow, err := SynthesizeCtx(context.Background(), tc.g, tc.opt)
 			grid.DisableIndex = false
 			if err != nil {
 				t.Fatalf("index disabled: %v", err)

@@ -110,14 +110,9 @@ type Result struct {
 	Cost     rtl.Cost
 }
 
-// Synthesize runs MFSA on g.
-func Synthesize(g *dfg.Graph, opt Options) (*Result, error) {
-	return SynthesizeCtx(context.Background(), g, opt)
-}
-
-// SynthesizeCtx is Synthesize with cancellation: ctx is checked before
-// every operation placement, so a cancelled run returns ctx.Err() within
-// one placement's worth of work instead of finishing the whole design.
+// SynthesizeCtx runs MFSA on g. ctx is checked before every operation
+// placement, so a cancelled run returns ctx.Err() within one
+// placement's worth of work instead of finishing the whole design.
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, opt Options) (*Result, error) {
 	opt, unitsByOp, err := prepare(g, opt)
 	if err != nil {
@@ -152,7 +147,7 @@ func prepare(g *dfg.Graph, opt Options) (Options, map[op.Kind][]*library.Unit, e
 	unitsByOp := make(map[op.Kind][]*library.Unit)
 	for _, n := range g.Nodes() {
 		if n.IsLoop() {
-			return opt, nil, fmt.Errorf("mfsa: fold loops with mfs.ScheduleLoops and synthesize bodies separately (node %q)", n.Name)
+			return opt, nil, fmt.Errorf("mfsa: fold loops with mfs.ScheduleLoopsCtx and synthesize bodies separately (node %q)", n.Name)
 		}
 		us, ok := unitsByOp[n.Op]
 		if !ok {

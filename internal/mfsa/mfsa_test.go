@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -14,9 +15,9 @@ import (
 
 func synth(t *testing.T, g *dfg.Graph, opt Options) *Result {
 	t.Helper()
-	res, err := Synthesize(g, opt)
+	res, err := SynthesizeCtx(context.Background(), g, opt)
 	if err != nil {
-		t.Fatalf("Synthesize(%s): %v", g.Name, err)
+		t.Fatalf("SynthesizeCtx(context.Background(), %s): %v", g.Name, err)
 	}
 	if err := res.Schedule.Verify(nil); err != nil {
 		t.Fatalf("schedule: %v", err)
@@ -188,7 +189,7 @@ func TestRestrictedLibrary(t *testing.T) {
 	g2 := dfg.New("r2")
 	g2.AddInput("a")
 	g2.AddOp("x", op.Div, "a", "a")
-	if _, err := Synthesize(g2, Options{CS: 2, Lib: sub}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), g2, Options{CS: 2, Lib: sub}); err == nil {
 		t.Error("unservable op accepted")
 	}
 }
@@ -214,7 +215,7 @@ func TestPipelinedUnits(t *testing.T) {
 		t.Errorf("ALUs = %d, want 2: %s", res.Cost.NumALUs, res.Datapath.ALUSummary())
 	}
 	// Without UsePipelinedUnits, the pipelined cell is not a candidate.
-	if _, err := Synthesize(g, Options{CS: 4, Lib: pipedLib}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), g, Options{CS: 4, Lib: pipedLib}); err == nil {
 		t.Error("pipelined-only library accepted without UsePipelinedUnits")
 	}
 }
@@ -274,7 +275,7 @@ func TestErrors(t *testing.T) {
 	g := dfg.New("e")
 	g.AddInput("a")
 	g.AddOp("x", op.Add, "a", "a")
-	if _, err := Synthesize(g, Options{}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), g, Options{}); err == nil {
 		t.Error("missing CS accepted")
 	}
 	// Loop nodes are rejected with guidance.
@@ -284,7 +285,7 @@ func TestErrors(t *testing.T) {
 	g2 := dfg.New("e2")
 	g2.AddInput("a")
 	g2.AddLoop("l", body, "q", map[string]string{"p": "a"})
-	if _, err := Synthesize(g2, Options{CS: 4}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), g2, Options{CS: 4}); err == nil {
 		t.Error("loop node accepted")
 	}
 	// Infeasible time constraint.
@@ -292,7 +293,7 @@ func TestErrors(t *testing.T) {
 	g3.AddInput("a")
 	g3.AddOp("x", op.Add, "a", "a")
 	g3.AddOp("y", op.Add, "x", "x")
-	if _, err := Synthesize(g3, Options{CS: 1}); err == nil {
+	if _, err := SynthesizeCtx(context.Background(), g3, Options{CS: 1}); err == nil {
 		t.Error("cs below critical path accepted")
 	}
 }
@@ -300,7 +301,7 @@ func TestErrors(t *testing.T) {
 func TestLimitsRespected(t *testing.T) {
 	ex := benchmarks.Diffeq()
 	limits := map[string]int{"fu_mul": 2}
-	res, err := Synthesize(ex.Graph, Options{CS: 6, Limits: limits})
+	res, err := SynthesizeCtx(context.Background(), ex.Graph, Options{CS: 6, Limits: limits})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestAllBenchmarksSynthesize(t *testing.T) {
 	for _, ex := range benchmarks.All() {
 		for _, cs := range ex.TimeConstraints {
 			opt := Options{CS: cs, ClockNs: ex.ClockNs}
-			res, err := Synthesize(ex.Graph, opt)
+			res, err := SynthesizeCtx(context.Background(), ex.Graph, opt)
 			if err != nil {
 				t.Errorf("%s cs=%d: %v", ex.Name, cs, err)
 				continue
@@ -356,7 +357,7 @@ func TestRandomGraphsSynthesize(t *testing.T) {
 		if trial%2 == 1 {
 			style = Style2
 		}
-		res, err := Synthesize(g, Options{CS: cs, Style: style})
+		res, err := SynthesizeCtx(context.Background(), g, Options{CS: cs, Style: style})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

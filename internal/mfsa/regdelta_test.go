@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -38,13 +39,13 @@ func TestRegDeltaMatchesPackOracle(t *testing.T) {
 					continue // constraint only feasible with chaining on
 				}
 				t.Run(fmt.Sprintf("%s/T=%d/%s", ex.Name, cs, v.name), func(t *testing.T) {
-					res, err := Synthesize(ex.Graph, v.opt)
+					res, err := SynthesizeCtx(context.Background(), ex.Graph, v.opt)
 					if err != nil {
 						t.Fatalf("Synthesize: %v", err)
 					}
 					// The frozen-time binder exercises bindOne's memo path
 					// over the schedule the full run just produced.
-					if _, err := Allocate(res.Schedule, Options{Lib: v.opt.Lib, RegisterInputs: v.opt.RegisterInputs}); err != nil {
+					if _, err := AllocateCtx(context.Background(), res.Schedule, Options{Lib: v.opt.Lib, RegisterInputs: v.opt.RegisterInputs}); err != nil {
 						t.Fatalf("Allocate: %v", err)
 					}
 				})
@@ -69,7 +70,7 @@ func TestRegBaseTracksPackedCount(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cs := ex.TimeConstraints[0]
 				opt := Options{CS: cs, ClockNs: ex.ClockNs, RegisterInputs: registerInputs}
-				res, err := Synthesize(ex.Graph, opt)
+				res, err := SynthesizeCtx(context.Background(), ex.Graph, opt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -30,7 +30,7 @@ import (
 // a fresh run would. Whenever a precondition fails (no trace — e.g. the
 // previous run had NoTrace set —, changed initial bounds, or a changed
 // input set under RegisterInputs), the function falls back to the full
-// synthesis, so callers can treat it as a drop-in Synthesize.
+// synthesis, so callers can treat it as a drop-in SynthesizeCtx.
 func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *Result, oldFrames sched.Frames, seeds []dfg.NodeID) (*Result, error) {
 	opt, unitsByOp, err := prepare(g, opt)
 	if err != nil {
@@ -72,11 +72,6 @@ func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *Result, old
 		}
 	}
 	return s.finish()
-}
-
-// Resume is ResumeCtx without cancellation.
-func Resume(g *dfg.Graph, opt Options, prev *Result, oldFrames sched.Frames, seeds []dfg.NodeID) (*Result, error) {
-	return ResumeCtx(context.Background(), g, opt, prev, oldFrames, seeds)
 }
 
 // replayStep commits the recorded decision st for new-graph node id if

@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -67,7 +68,7 @@ func resumeGraphs(t *testing.T) []*dfg.Graph {
 func TestResumeAddSinkMatchesFresh(t *testing.T) {
 	for _, g := range resumeGraphs(t) {
 		opt := Options{CS: g.CriticalPathCycles() + 3}
-		prev, err := Synthesize(g, opt)
+		prev, err := SynthesizeCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -78,11 +79,11 @@ func TestResumeAddSinkMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Resume(c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
+			got, err := ResumeCtx(context.Background(), c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
 			if err != nil {
 				t.Fatalf("%s: resume: %v", g.Name, err)
 			}
-			want, err := Synthesize(c, opt)
+			want, err := SynthesizeCtx(context.Background(), c, opt)
 			if err != nil {
 				t.Fatalf("%s: fresh: %v", g.Name, err)
 			}
@@ -99,7 +100,7 @@ func TestResumeAddSinkMatchesFresh(t *testing.T) {
 func TestResumeRetimeMatchesFresh(t *testing.T) {
 	for _, g := range resumeGraphs(t) {
 		opt := Options{CS: g.CriticalPathCycles() + 4}
-		prev, err := Synthesize(g, opt)
+		prev, err := SynthesizeCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
@@ -109,11 +110,11 @@ func TestResumeRetimeMatchesFresh(t *testing.T) {
 			if err := c.SetCycles(nid, c.Node(nid).Cycles%2+1); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Resume(c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
+			got, err := ResumeCtx(context.Background(), c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
 			if err != nil {
 				t.Fatalf("%s retime %d: resume: %v", g.Name, id, err)
 			}
-			want, err := Synthesize(c, opt)
+			want, err := SynthesizeCtx(context.Background(), c, opt)
 			if err != nil {
 				t.Fatalf("%s retime %d: fresh: %v", g.Name, id, err)
 			}
@@ -132,7 +133,7 @@ func TestResumeStyle2AndLimits(t *testing.T) {
 		Style:  Style2,
 		Limits: map[string]int{"fu_mul": 3},
 	}
-	prev, err := Synthesize(g, opt)
+	prev, err := SynthesizeCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +142,11 @@ func TestResumeStyle2AndLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
+	got, err := ResumeCtx(context.Background(), c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Synthesize(c, opt)
+	want, err := SynthesizeCtx(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestResumeFallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{CS: g.CriticalPathCycles() + 3}
-	prevNoTrace, err := Synthesize(g, Options{CS: opt.CS, NoTrace: true})
+	prevNoTrace, err := SynthesizeCtx(context.Background(), g, Options{CS: opt.CS, NoTrace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,17 +177,17 @@ func TestResumeFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c, opt, prevNoTrace, prevNoTrace.Schedule.Frames, []dfg.NodeID{nid})
+	got, err := ResumeCtx(context.Background(), c, opt, prevNoTrace, prevNoTrace.Schedule.Frames, []dfg.NodeID{nid})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Synthesize(c, opt)
+	want, err := SynthesizeCtx(context.Background(), c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "noTrace-fallback", got, want)
 
-	if _, err := Resume(c, opt, nil, nil, []dfg.NodeID{nid}); err != nil {
+	if _, err := ResumeCtx(context.Background(), c, opt, nil, nil, []dfg.NodeID{nid}); err != nil {
 		t.Fatalf("nil prev: %v", err)
 	}
 }
@@ -199,7 +200,7 @@ func TestResumeResumedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{CS: g.CriticalPathCycles() + 3}
-	prev, err := Synthesize(g, opt)
+	prev, err := SynthesizeCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestResumeResumedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mid, err := Resume(c1, opt, prev, prev.Schedule.Frames, []dfg.NodeID{n1})
+	mid, err := ResumeCtx(context.Background(), c1, opt, prev, prev.Schedule.Frames, []dfg.NodeID{n1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,11 +219,11 @@ func TestResumeResumedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c2, opt, mid, mid.Schedule.Frames, []dfg.NodeID{n2})
+	got, err := ResumeCtx(context.Background(), c2, opt, mid, mid.Schedule.Frames, []dfg.NodeID{n2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Synthesize(c2, opt)
+	want, err := SynthesizeCtx(context.Background(), c2, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +236,12 @@ func TestNoTraceSameResult(t *testing.T) {
 	for _, ex := range benchmarks.All() {
 		g := ex.Graph
 		opt := Options{CS: g.CriticalPathCycles() + 3}
-		with, err := Synthesize(g, opt)
+		with, err := SynthesizeCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}
 		opt.NoTrace = true
-		without, err := Synthesize(g, opt)
+		without, err := SynthesizeCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
 		}

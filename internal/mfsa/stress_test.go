@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -22,18 +23,18 @@ func TestExtendedBenchmarksEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s cs=%d mfs: %v", ex.Name, cs, err)
 			}
-			if err := sim.CrossCheck(s, nil, sim.RandomInputs(ex.Graph, int64(cs))); err != nil {
+			if err := sim.CrossCheckCtx(context.Background(), s, nil, sim.RandomInputs(ex.Graph, int64(cs))); err != nil {
 				t.Fatalf("%s cs=%d: %v", ex.Name, cs, err)
 			}
 			for _, style := range []Style{Style1, Style2} {
-				res, err := Synthesize(ex.Graph, Options{CS: cs, Style: style})
+				res, err := SynthesizeCtx(context.Background(), ex.Graph, Options{CS: cs, Style: style})
 				if err != nil {
 					t.Fatalf("%s cs=%d style %d: %v", ex.Name, cs, style, err)
 				}
 				if err := res.Schedule.Verify(nil); err != nil {
 					t.Fatalf("%s cs=%d style %d: %v", ex.Name, cs, style, err)
 				}
-				if err := sim.CrossCheck(res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 7)); err != nil {
+				if err := sim.CrossCheckCtx(context.Background(), res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 7)); err != nil {
 					t.Fatalf("%s cs=%d style %d: %v", ex.Name, cs, style, err)
 				}
 				if style == Style2 {
@@ -119,7 +120,7 @@ func TestRandomChainedSynthesis(t *testing.T) {
 		var res *Result
 		var err error
 		for cs := cp; cs <= cp+4; cs++ {
-			res, err = Synthesize(g, Options{CS: cs, ClockNs: 100})
+			res, err = SynthesizeCtx(context.Background(), g, Options{CS: cs, ClockNs: 100})
 			if err == nil {
 				break
 			}
@@ -130,7 +131,7 @@ func TestRandomChainedSynthesis(t *testing.T) {
 		if err := res.Schedule.Verify(nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := sim.CrossCheck(res.Schedule, res.Datapath, sim.RandomInputs(g, int64(trial))); err != nil {
+		if err := sim.CrossCheckCtx(context.Background(), res.Schedule, res.Datapath, sim.RandomInputs(g, int64(trial))); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}

@@ -9,7 +9,6 @@ package opt
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/dfg"
 	"repro/internal/op"
@@ -298,33 +297,4 @@ func copyNode(out, g *dfg.Graph, n *dfg.Node, rename map[string]string) error {
 		}
 	}
 	return nil
-}
-
-// Stats renders a one-line summary of a pipeline result.
-func (r *Result) Stats() string {
-	parts := []string{}
-	if r.Folded > 0 {
-		parts = append(parts, fmt.Sprintf("folded %d", r.Folded))
-	}
-	if r.CSE > 0 {
-		parts = append(parts, fmt.Sprintf("merged %d", r.CSE))
-	}
-	if r.Branch > 0 {
-		parts = append(parts, fmt.Sprintf("cross-branch merged %d", r.Branch))
-	}
-	if r.Dead > 0 {
-		parts = append(parts, fmt.Sprintf("removed %d dead", r.Dead))
-	}
-	if len(parts) == 0 {
-		return "no changes"
-	}
-	sort.Strings(parts)
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
-	}
-	return out
 }

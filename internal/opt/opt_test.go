@@ -6,7 +6,6 @@ import (
 	"repro/internal/behav"
 	"repro/internal/benchmarks"
 	"repro/internal/dfg"
-	"repro/internal/op"
 	"repro/internal/sim"
 )
 
@@ -185,11 +184,9 @@ func TestPipelineNoChanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Folded != 0 || res.CSE != 0 || res.Dead != 0 {
-		t.Errorf("facet changed: %s", res.Stats())
-	}
-	if res.Stats() != "no changes" {
-		t.Errorf("Stats = %q", res.Stats())
+	if res.Folded != 0 || res.CSE != 0 || res.Branch != 0 || res.Dead != 0 {
+		t.Errorf("facet changed: folded %d, merged %d, cross-branch %d, dead %d",
+			res.Folded, res.CSE, res.Branch, res.Dead)
 	}
 }
 
@@ -206,26 +203,6 @@ func TestPipelineOnDiffeq(t *testing.T) {
 	if res.Graph.Len() != ex.Graph.Len()-1 {
 		t.Errorf("len = %d, want %d", res.Graph.Len(), ex.Graph.Len()-1)
 	}
-}
-
-func TestStatsRendering(t *testing.T) {
-	r := &Result{Folded: 2, CSE: 1, Dead: 3}
-	s := r.Stats()
-	for _, want := range []string{"folded 2", "merged 1", "removed 3 dead"} {
-		if !contains(s, want) {
-			t.Errorf("Stats %q missing %q", s, want)
-		}
-	}
-	_ = op.Add
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }
 
 func TestPipelineMergesCrossBranchDuplicates(t *testing.T) {
@@ -250,7 +227,4 @@ if a < b {
 		t.Errorf("Branch = %d, want 1 (lo/hi merge)", res.Branch)
 	}
 	checkEquivalent(t, g, consts, res, []string{"lo_use", "hi_use"})
-	if !contains(res.Stats(), "cross-branch merged 1") {
-		t.Errorf("Stats = %q", res.Stats())
-	}
 }

@@ -1,20 +1,20 @@
-// Package pool is the bounded worker pool behind every parallel hot
-// path of the synthesis engine: time-constraint sweeps (core.Sweep,
-// core.SweepGraphs), the speculative resource-constrained search in MFS,
-// and the experiment tables. Its primitives are deterministic: results
-// come back in input order, the error reported is the one the equivalent
-// sequential loop would have reported, and worker functions are expected
-// to be pure (no shared mutable state), so every parallelism setting —
-// including 1 — produces byte-identical output.
+// Package pool is the bounded worker pool behind every parallel hot path
+// of the synthesis engine: time-constraint sweeps (core.SweepCtx,
+// core.SweepGraphsCtx), the speculative resource-constrained search in
+// MFS, and the experiment tables. Its primitives are deterministic:
+// results come back in input order, the error reported is the one the
+// equivalent sequential loop would have reported, and worker functions are
+// expected to be pure (no shared mutable state), so every parallelism
+// setting — including 1 — produces byte-identical output.
 //
 // Two hardening guarantees hold on every path:
 //
-//   - Cancellation: the Ctx variants stop dispatching new indices as
-//     soon as ctx is done and return ctx.Err() (context.Canceled or
-//     context.DeadlineExceeded), never a partial result. In-flight
-//     calls are allowed to finish; worker functions that can run long
-//     should observe the same ctx themselves so a cancelled pool call
-//     returns promptly.
+//   - Cancellation: MapCtx and SearchMinCtx stop dispatching new
+//     indices as soon as ctx is done and return ctx.Err()
+//     (context.Canceled or context.DeadlineExceeded), never a partial
+//     result. In-flight calls are allowed to finish; worker functions
+//     that can run long should observe the same ctx themselves so a
+//     cancelled pool call returns promptly.
 //   - Panic isolation: a worker function that panics does not crash the
 //     process. The panic is recovered on the worker goroutine and
 //     converted into a *guard.InternalError carrying the stack, which
@@ -31,7 +31,7 @@ import (
 	"repro/internal/guard"
 )
 
-// EmptySearchError reports a SearchMin or SearchMinCtx call over an
+// EmptySearchError reports a SearchMinCtx call over an
 // empty candidate range (n <= 0): no candidate was ever probed, so
 // there is no committed index and no last probe error to surface.
 // Before this type existed the call returned (-1, zero, nil) — a
@@ -67,19 +67,13 @@ func call[T any](fn func(i int) (T, error), i int) (v T, err error) {
 	return fn(i)
 }
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines and
-// returns the n results in index order. If any call fails, Map returns
-// the error with the smallest index — exactly the error a sequential
-// loop would have stopped on — and workers stop picking up new indices
-// (in-flight calls still complete). fn must be safe for concurrent use.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapCtx(context.Background(), workers, n, fn)
-}
-
-// MapCtx is Map with cancellation: workers stop dispatching new indices
-// once ctx is done, and the call returns ctx.Err() instead of a partial
-// result. With a never-done ctx the semantics (and the results) are
-// exactly Map's.
+// MapCtx runs fn(i) for every i in [0, n) on at most workers goroutines
+// and returns the n results in index order. If any call fails, MapCtx
+// returns the error with the smallest index — exactly the error a
+// sequential loop would have stopped on — and workers stop picking up
+// new indices (in-flight calls still complete). fn must be safe for
+// concurrent use. Workers also stop dispatching new indices once ctx is
+// done, and the call then returns ctx.Err() instead of a partial result.
 func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		if err := ctx.Err(); err != nil {
@@ -153,7 +147,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 	return out, nil
 }
 
-// SearchMin returns the smallest i in [0, n) for which fn succeeds,
+// SearchMinCtx returns the smallest i in [0, n) for which fn succeeds,
 // together with fn's result — the parallel form of the classic
 // "try cs = lo, lo+1, ... until one fits" loop. Windows of `workers`
 // consecutive candidates are probed speculatively and the smallest
@@ -170,15 +164,8 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // candidate's error when all n probes failed, ctx.Err() on
 // cancellation, and a *EmptySearchError when n <= 0 (no candidate
 // exists to probe, so no probe error can stand in for the failure).
-// The index is never -1 alongside a nil error.
-func SearchMin[T any](workers, n int, fn func(i int) (T, error)) (int, T, error) {
-	return SearchMinCtx(context.Background(), workers, n, fn)
-}
-
-// SearchMinCtx is SearchMin with cancellation: no new probe window
-// starts once ctx is done, and the call returns ctx.Err() with index -1
-// instead of committing a result. With a never-done ctx the semantics
-// (and the committed index) are exactly SearchMin's.
+// The index is never -1 alongside a nil error. No new probe window
+// starts once ctx is done.
 func SearchMinCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) (int, T, error) {
 	var zero T
 	var lastErr error

@@ -101,22 +101,6 @@ func TestMapCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestMapCtxBackgroundMatchesMap: with a never-done ctx the Ctx variant
-// is exactly Map.
-func TestMapCtxBackgroundMatchesMap(t *testing.T) {
-	fn := func(i int) (int, error) { return 3 * i, nil }
-	a, errA := Map(8, 64, fn)
-	b, errB := MapCtx(context.Background(), 8, 64, fn)
-	if errA != nil || errB != nil {
-		t.Fatal(errA, errB)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("out[%d]: %d != %d", i, a[i], b[i])
-		}
-	}
-}
-
 // TestSearchMinCtxPreCancelled mirrors the Map test for the speculative
 // search.
 func TestSearchMinCtxPreCancelled(t *testing.T) {
@@ -182,7 +166,7 @@ func TestSearchMinCtxMidFlightCancel(t *testing.T) {
 // the process, on both primitives and at both worker counts.
 func TestWorkerPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		_, err := Map(workers, 10, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, 10, func(i int) (int, error) {
 			if i == 2 {
 				panic("worker bug")
 			}
@@ -196,7 +180,7 @@ func TestWorkerPanicBecomesError(t *testing.T) {
 			t.Errorf("panic value = %v", ie.Value)
 		}
 
-		idx, _, err := SearchMin(workers, 3, func(i int) (int, error) {
+		idx, _, err := SearchMinCtx(context.Background(), workers, 3, func(i int) (int, error) {
 			panic("probe bug")
 		})
 		if idx != -1 {

@@ -22,7 +22,7 @@ func TestSize(t *testing.T) {
 
 func TestMapOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
-		out, err := Map(workers, 100, func(i int) (int, error) { return i * i, nil })
+		out, err := MapCtx(context.Background(), workers, 100, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,9 +38,9 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map(4, 0, func(i int) (int, error) { return 0, nil })
+	out, err := MapCtx(context.Background(), 4, 0, func(i int) (int, error) { return 0, nil })
 	if err != nil || out != nil {
-		t.Errorf("Map(_, 0) = %v, %v; want nil, nil", out, err)
+		t.Errorf("MapCtx(context.Background(), _, 0) = %v, %v; want nil, nil", out, err)
 	}
 }
 
@@ -49,7 +49,7 @@ func TestMapEmpty(t *testing.T) {
 // sequential loop would have stopped on.
 func TestMapSmallestError(t *testing.T) {
 	for _, workers := range []int{1, 4, 32} {
-		_, err := Map(workers, 50, func(i int) (int, error) {
+		_, err := MapCtx(context.Background(), workers, 50, func(i int) (int, error) {
 			if i%7 == 3 { // fails at 3, 10, 17, ...
 				return 0, fmt.Errorf("fail at %d", i)
 			}
@@ -66,7 +66,7 @@ func TestMapSmallestError(t *testing.T) {
 func TestMapWorkerBound(t *testing.T) {
 	const workers = 4
 	var running, peak atomic.Int64
-	_, err := Map(workers, 200, func(i int) (int, error) {
+	_, err := MapCtx(context.Background(), workers, 200, func(i int) (int, error) {
 		cur := running.Add(1)
 		for {
 			p := peak.Load()
@@ -106,9 +106,9 @@ func TestSearchMinMatchesSequential(t *testing.T) {
 			}
 			return "", fmt.Errorf("infeasible at %d", i)
 		}
-		wantIdx, wantV, wantErr := SearchMin(1, n, fn)
+		wantIdx, wantV, wantErr := SearchMinCtx(context.Background(), 1, n, fn)
 		for _, workers := range []int{2, 3, 8, 64} {
-			idx, v, err := SearchMin(workers, n, fn)
+			idx, v, err := SearchMinCtx(context.Background(), workers, n, fn)
 			if idx != wantIdx || v != wantV {
 				t.Errorf("pred %d workers %d: got (%d, %q), want (%d, %q)",
 					pi, workers, idx, v, wantIdx, wantV)
@@ -139,7 +139,7 @@ func TestSearchMinEmpty(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			called := false
-			idx, v, err := SearchMin(tc.workers, tc.n, func(i int) (string, error) {
+			idx, v, err := SearchMinCtx(context.Background(), tc.workers, tc.n, func(i int) (string, error) {
 				called = true
 				return "never", nil
 			})

@@ -4,6 +4,7 @@ package rtl_test
 // mfsa-synthesized designs, and mfsa imports rtl.
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ import (
 func synthFor(t *testing.T, mk func() *benchmarks.Example, cs int) (*benchmarks.Example, *mfsa.Result) {
 	t.Helper()
 	ex := mk()
-	res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: cs, ClockNs: ex.ClockNs})
+	res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: cs, ClockNs: ex.ClockNs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestInterconnectRegisterSharing(t *testing.T) {
 	witness := false
 	for _, mk := range []func() *benchmarks.Example{benchmarks.Diffeq, benchmarks.ARLattice, benchmarks.EWF} {
 		ex := mk()
-		res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: ex.TimeConstraints[len(ex.TimeConstraints)-1]})
+		res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: ex.TimeConstraints[len(ex.TimeConstraints)-1]})
 		if err != nil {
 			t.Fatal(err)
 		}

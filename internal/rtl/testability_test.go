@@ -1,6 +1,7 @@
 package rtl_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestTestabilityStyles(t *testing.T) {
 	// Style 1 on the EWF (a long add chain bound to few adders) has ALU
 	// self-loops; style 2 must not.
 	ex := benchmarks.EWF()
-	s1, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: 17, Style: mfsa.Style1})
+	s1, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: 17, Style: mfsa.Style1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +29,7 @@ func TestTestabilityStyles(t *testing.T) {
 		t.Errorf("String = %q", t1.String())
 	}
 
-	s2, err := mfsa.Synthesize(benchmarks.EWF().Graph, mfsa.Options{CS: 17, Style: mfsa.Style2})
+	s2, err := mfsa.SynthesizeCtx(context.Background(), benchmarks.EWF().Graph, mfsa.Options{CS: 17, Style: mfsa.Style2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestFeedbackPairs(t *testing.T) {
 	// computed without error and non-negative on a few designs.
 	for _, mk := range []func() *benchmarks.Example{benchmarks.Diffeq, benchmarks.ARLattice} {
 		ex := mk()
-		res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: ex.TimeConstraints[len(ex.TimeConstraints)-1], Style: mfsa.Style2})
+		res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: ex.TimeConstraints[len(ex.TimeConstraints)-1], Style: mfsa.Style2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,7 +52,7 @@ type Schedule struct {
 
 	// Frames, when non-nil, holds the ASAP/ALAP frames the schedule was
 	// derived under. Like Trace it is advisory metadata: incremental
-	// re-synthesis (core.Resynthesize) seeds its dirty-cone frame update
+	// re-synthesis (core.ResynthesizeCtx) seeds its dirty-cone frame update
 	// from it instead of recomputing both graph passes from scratch.
 	Frames Frames
 }
@@ -108,20 +108,6 @@ func (s *Schedule) InstancesPerType() map[string]int {
 		}
 	}
 	return max
-}
-
-// TypeNames returns the used FU type keys in sorted order.
-func (s *Schedule) TypeNames() []string {
-	seen := make(map[string]bool)
-	for _, p := range s.Placements {
-		seen[p.Type] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // String renders a compact per-step listing for debugging.

@@ -33,9 +33,6 @@ func TestVerifyLegal(t *testing.T) {
 	if got := s.InstancesPerType(); got["+"] != 2 || got["*"] != 1 {
 		t.Errorf("InstancesPerType = %v", got)
 	}
-	if got := s.TypeNames(); len(got) != 2 || got[0] != "*" || got[1] != "+" {
-		t.Errorf("TypeNames = %v", got)
-	}
 	if !strings.Contains(s.String(), "cs=2") {
 		t.Errorf("String() = %q", s.String())
 	}

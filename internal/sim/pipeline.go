@@ -22,18 +22,13 @@ type PipelineRun struct {
 	Throughput int
 }
 
-// RunPipelined simulates k consecutive initiations of a functionally
+// RunPipelinedCtx simulates k consecutive initiations of a functionally
 // pipelined schedule (§5.5.2), one input vector per initiation. Each
 // initiation executes the full body; the folded schedule guarantees the
 // overlapped initiations never contend for a functional unit, which the
 // expansion check in internal/mfs proves structurally — here the value
 // semantics of every iteration are verified against the behavioral
-// reference, and the pipelined makespan is reported.
-func RunPipelined(s *sched.Schedule, inputs []map[string]int64) (*PipelineRun, error) {
-	return RunPipelinedCtx(context.Background(), s, inputs)
-}
-
-// RunPipelinedCtx is RunPipelined with cancellation: ctx is observed by
+// reference, and the pipelined makespan is reported. ctx is observed by
 // every iteration's simulation.
 func RunPipelinedCtx(ctx context.Context, s *sched.Schedule, inputs []map[string]int64) (*PipelineRun, error) {
 	if s.Latency <= 0 {

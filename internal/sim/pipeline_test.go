@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -19,7 +20,7 @@ func TestRunPipelinedDiffeq(t *testing.T) {
 	for k := int64(0); k < 4; k++ {
 		inputs = append(inputs, RandomInputs(ex.Graph, k))
 	}
-	run, err := RunPipelined(s, inputs)
+	run, err := RunPipelinedCtx(context.Background(), s, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestRunPipelinedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPipelined(s, []map[string]int64{RandomInputs(ex.Graph, 1)}); err == nil {
+	if _, err := RunPipelinedCtx(context.Background(), s, []map[string]int64{RandomInputs(ex.Graph, 1)}); err == nil {
 		t.Error("unpipelined schedule accepted")
 	}
 	dq := benchmarks.Diffeq()
@@ -63,10 +64,10 @@ func TestRunPipelinedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunPipelined(sp, nil); err == nil {
+	if _, err := RunPipelinedCtx(context.Background(), sp, nil); err == nil {
 		t.Error("zero iterations accepted")
 	}
-	if _, err := RunPipelined(sp, []map[string]int64{{}}); err == nil {
+	if _, err := RunPipelinedCtx(context.Background(), sp, []map[string]int64{{}}); err == nil {
 		t.Error("missing inputs accepted")
 	}
 }

@@ -1,11 +1,11 @@
-// Package sim executes synthesized designs cycle by cycle and
-// cross-checks them against the data-flow graph's reference evaluation.
-// It is the repository's end-to-end verification substrate: Run drives a
-// schedule (checking that every operand is ready when read — multicycle
-// completion times and chaining included), RunRTL additionally walks the
-// bound datapath (checking that every cross-step operand is actually held
-// in an allocated register for the whole time it is needed), and
-// CrossCheck compares the results with dfg.Graph.Eval on the same inputs.
+// Package sim executes synthesized designs cycle by cycle and cross-checks
+// them against the data-flow graph's reference evaluation. It is the
+// repository's end-to-end verification substrate: Run drives a schedule
+// (checking that every operand is ready when read — multicycle completion
+// times and chaining included), RunRTLCtx additionally walks the bound
+// datapath (checking that every cross-step operand is actually held in an
+// allocated register for the whole time it is needed), and CrossCheckCtx
+// compares the results with dfg.Graph.Eval on the same inputs.
 package sim
 
 import (
@@ -34,17 +34,9 @@ func RunCtx(ctx context.Context, s *sched.Schedule, inputs map[string]int64) (ma
 	return run(ctx, s, nil, inputs)
 }
 
-// RunRTL simulates a schedule against its bound datapath, additionally
+// RunRTLCtx simulates a schedule against its bound datapath, additionally
 // verifying register coverage: any operand read after its producing step
 // must sit in an allocated register whose lifetime covers the read.
-func RunRTL(s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) (map[string]int64, error) {
-	if dp == nil {
-		return nil, fmt.Errorf("sim: nil datapath")
-	}
-	return run(context.Background(), s, dp, inputs)
-}
-
-// RunRTLCtx is RunRTL with cancellation.
 func RunRTLCtx(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) (map[string]int64, error) {
 	if dp == nil {
 		return nil, fmt.Errorf("sim: nil datapath")
@@ -154,16 +146,10 @@ func run(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map[st
 	return vals, nil
 }
 
-// CrossCheck simulates the schedule (and datapath, if non-nil) on one
+// CrossCheckCtx simulates the schedule (and datapath, if non-nil) on one
 // input vector and compares every node's value against the reference
-// evaluator. It returns the first mismatch. It is the historical
-// one-vector signature; CrossCheckSeedsCtx drives it over N
-// reproducible vectors.
-func CrossCheck(s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) error {
-	return CrossCheckCtx(context.Background(), s, dp, inputs)
-}
-
-// CrossCheckCtx is CrossCheck with cancellation.
+// evaluator. It returns the first mismatch; CrossCheckSeedsCtx drives it
+// over N reproducible vectors.
 func CrossCheckCtx(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) error {
 	want, err := s.Graph.Eval(inputs)
 	if err != nil {

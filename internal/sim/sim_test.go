@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -22,7 +23,7 @@ func TestRunAgainstReferenceAllBenchmarks(t *testing.T) {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
 		for seed := int64(1); seed <= 3; seed++ {
-			if err := CrossCheck(s, nil, RandomInputs(ex.Graph, seed)); err != nil {
+			if err := CrossCheckCtx(context.Background(), s, nil, RandomInputs(ex.Graph, seed)); err != nil {
 				t.Errorf("%s seed %d: %v", ex.Name, seed, err)
 			}
 		}
@@ -32,11 +33,11 @@ func TestRunAgainstReferenceAllBenchmarks(t *testing.T) {
 func TestRunRTLAllBenchmarks(t *testing.T) {
 	for _, ex := range benchmarks.All() {
 		cs := ex.TimeConstraints[len(ex.TimeConstraints)-1]
-		res, err := mfsa.Synthesize(ex.Graph, mfsa.Options{CS: cs, ClockNs: ex.ClockNs})
+		res, err := mfsa.SynthesizeCtx(context.Background(), ex.Graph, mfsa.Options{CS: cs, ClockNs: ex.ClockNs})
 		if err != nil {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
-		if err := CrossCheck(res.Schedule, res.Datapath, RandomInputs(ex.Graph, 7)); err != nil {
+		if err := CrossCheckCtx(context.Background(), res.Schedule, res.Datapath, RandomInputs(ex.Graph, 7)); err != nil {
 			t.Errorf("%s: %v", ex.Name, err)
 		}
 	}
@@ -88,17 +89,17 @@ func TestDetectsMissingRegister(t *testing.T) {
 	// RunRTL's register check only reads dp.Registers; no library needed.
 	dp := rtl.NewDatapath(nil)
 	// No registers assigned: the read of x at step 3 must fail.
-	if _, err := RunRTL(s, dp, map[string]int64{"a": 2}); err == nil {
+	if _, err := RunRTLCtx(context.Background(), s, dp, map[string]int64{"a": 2}); err == nil {
 		t.Error("unregistered cross-step value accepted")
 	}
 	// Register covering only part of the lifetime still fails.
 	dp.Registers = [][]rtl.Interval{{{Name: "x", Birth: 1, Death: 2}}}
-	if _, err := RunRTL(s, dp, map[string]int64{"a": 2}); err == nil {
+	if _, err := RunRTLCtx(context.Background(), s, dp, map[string]int64{"a": 2}); err == nil {
 		t.Error("partially covered lifetime accepted")
 	}
 	// Full coverage passes.
 	dp.Registers = [][]rtl.Interval{{{Name: "x", Birth: 1, Death: 3}}}
-	if _, err := RunRTL(s, dp, map[string]int64{"a": 2}); err != nil {
+	if _, err := RunRTLCtx(context.Background(), s, dp, map[string]int64{"a": 2}); err != nil {
 		t.Errorf("covered lifetime rejected: %v", err)
 	}
 }
@@ -149,14 +150,14 @@ func TestRandomSchedulesCrossCheck(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := CrossCheck(s, nil, RandomInputs(g, int64(trial))); err != nil {
+		if err := CrossCheckCtx(context.Background(), s, nil, RandomInputs(g, int64(trial))); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		res, err := mfsa.Synthesize(g, mfsa.Options{CS: s.CS})
+		res, err := mfsa.SynthesizeCtx(context.Background(), g, mfsa.Options{CS: s.CS})
 		if err != nil {
 			t.Fatalf("trial %d mfsa: %v", trial, err)
 		}
-		if err := CrossCheck(res.Schedule, res.Datapath, RandomInputs(g, int64(trial)+100)); err != nil {
+		if err := CrossCheckCtx(context.Background(), res.Schedule, res.Datapath, RandomInputs(g, int64(trial)+100)); err != nil {
 			t.Fatalf("trial %d mfsa: %v", trial, err)
 		}
 	}
