@@ -199,19 +199,6 @@ func action(n *dfg.Node, a *rtl.ALU, bind *rtl.Binding, sel *muxSelects) (Action
 	return act, nil
 }
 
-// ActionFor returns the action issuing node id and the 1-based position
-// of the state that issues it, or ok=false when no state does.
-func (c *Controller) ActionFor(id dfg.NodeID) (Action, int, bool) {
-	for i, st := range c.States {
-		for _, act := range st.Actions {
-			if act.Node == id {
-				return act, i + 1, true
-			}
-		}
-	}
-	return Action{}, 0, false
-}
-
 // String renders the FSM as a readable state table.
 func (c *Controller) String() string {
 	var b strings.Builder

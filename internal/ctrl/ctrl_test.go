@@ -2,11 +2,13 @@ package ctrl
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/benchmarks"
 	"repro/internal/dfg"
+	"repro/internal/gen"
 	"repro/internal/mfsa"
 	"repro/internal/op"
 	"repro/internal/rtl"
@@ -53,6 +55,66 @@ func TestBuildController(t *testing.T) {
 			if res.Schedule.Placements[a.Node].Step != st.Step {
 				t.Errorf("action %s in S%d but scheduled at %d",
 					a.Name, st.Step, res.Schedule.Placements[a.Node].Step)
+			}
+		}
+	}
+}
+
+// TestBuildIssuesEachNodeOnce pins the invariant emit's single-pass
+// state lookup relies on: Build issues every node of the graph in exactly
+// one state — its scheduled step — across the six paper benchmarks in
+// both styles, with functional pipelining where the example uses it, and
+// on a 2k-node generated graph.
+func TestBuildIssuesEachNodeOnce(t *testing.T) {
+	type design struct {
+		name string
+		g    *dfg.Graph
+		opt  mfsa.Options
+	}
+	var designs []design
+	for _, ex := range benchmarks.All() {
+		cs := ex.TimeConstraints[0]
+		for _, style := range []mfsa.Style{mfsa.Style1, mfsa.Style2} {
+			opt := mfsa.Options{CS: cs, Style: style, ClockNs: ex.ClockNs}
+			designs = append(designs, design{fmt.Sprintf("%s/style%d", ex.Name, style), ex.Graph, opt})
+			if ex.Latency != nil {
+				opt.Latency = ex.Latency(cs)
+				designs = append(designs, design{fmt.Sprintf("%s/style%d/latency%d", ex.Name, style, opt.Latency), ex.Graph, opt})
+			}
+		}
+	}
+	if !testing.Short() {
+		g, err := gen.Generate(gen.Config{Nodes: 2000, MulCycles: 2, Seed: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		designs = append(designs, design{"gen2000", g, mfsa.Options{CS: g.CriticalPathCycles() + 4, NoTrace: true}})
+	}
+	for _, d := range designs {
+		res, err := mfsa.SynthesizeCtx(context.Background(), d.g, d.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		c, err := Build(d.g, res.Schedule, res.Datapath)
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		step := make(map[dfg.NodeID]int, d.g.Len())
+		for i, st := range c.States {
+			for _, a := range st.Actions {
+				if prev, dup := step[a.Node]; dup {
+					t.Fatalf("%s: node %s issued in S%d and S%d", d.name, a.Name, prev, i+1)
+				}
+				step[a.Node] = i + 1
+			}
+		}
+		for _, n := range d.g.Nodes() {
+			got, ok := step[n.ID]
+			if !ok {
+				t.Fatalf("%s: node %s issued in no state", d.name, n.Name)
+			}
+			if want := res.Schedule.Placements[n.ID].Step; got != want {
+				t.Fatalf("%s: node %s issued in S%d, scheduled at step %d", d.name, n.Name, got, want)
 			}
 		}
 	}

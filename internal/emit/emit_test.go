@@ -2,14 +2,19 @@ package emit
 
 import (
 	"context"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/benchmarks"
 	"repro/internal/ctrl"
 	"repro/internal/dfg"
+	"repro/internal/gen"
 	"repro/internal/mfsa"
 	"repro/internal/op"
+	"repro/internal/rtl"
+	"repro/internal/sched"
 )
 
 func TestVerilogStructure(t *testing.T) {
@@ -176,5 +181,226 @@ func TestNamerCollisions(t *testing.T) {
 	}
 	if len(decls) < 11 { // 4 ports + 1 output + 4 taps + 3 node wires at minimum
 		t.Errorf("unexpectedly few declarations: %d (%v)", len(decls), decls)
+	}
+}
+
+// verilogScan is the historical emitter: identical to Verilog except
+// that every node's state is found by scanning the whole controller
+// (stateOfScan), quadratic in the design size. It is the byte-for-byte
+// oracle for the single-pass state lookup in emitALUs.
+func verilogScan(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath, c *ctrl.Controller) string {
+	var b strings.Builder
+	name := sanitize(g.Name)
+	nm := newNamer(g)
+	fmt.Fprintf(&b, "// Generated by MFSA synthesis: %d control steps, %d ALUs, %d registers\n",
+		s.CS, len(dp.ALUs), len(dp.Registers))
+	fmt.Fprintf(&b, "// ALU set: %s\n", dp.ALUSummary())
+	fmt.Fprintf(&b, "module %s (\n", name)
+	fmt.Fprintf(&b, "    input  wire        clk,\n")
+	fmt.Fprintf(&b, "    input  wire        rst,\n")
+	for _, in := range g.Inputs() {
+		fmt.Fprintf(&b, "    input  wire [31:0] %s,\n", nm.input(in))
+	}
+	outs := g.Outputs()
+	for i, out := range outs {
+		comma := ","
+		if i == len(outs)-1 {
+			comma = ""
+		}
+		fmt.Fprintf(&b, "    output wire [31:0] %s%s\n", nm.output(out), comma)
+	}
+	fmt.Fprintf(&b, ");\n\n")
+	emitState(&b, c)
+	emitInputTaps(&b, nm, g)
+	emitRegisters(&b, nm, dp, c)
+	emitALUsScan(&b, nm, g, dp, c)
+	emitOutputs(&b, nm, g)
+	fmt.Fprintf(&b, "endmodule\n")
+	return b.String()
+}
+
+func emitALUsScan(b *strings.Builder, nm *namer, g *dfg.Graph, dp *rtl.Datapath, c *ctrl.Controller) {
+	for _, n := range g.Nodes() {
+		fmt.Fprintf(b, "    wire [31:0] %s;\n", nm.wire(n.Name))
+	}
+	fmt.Fprintf(b, "\n")
+	for _, a := range dp.ALUs {
+		fmt.Fprintf(b, "    // %s: %s — L1=%v L2=%v\n", sanitize(a.Name), a.Unit.Symbol(), a.L1, a.L2)
+	}
+	fmt.Fprintf(b, "\n")
+	actionsByNode := make(map[dfg.NodeID]ctrl.Action)
+	for _, st := range c.States {
+		for _, act := range st.Actions {
+			actionsByNode[act.Node] = act
+		}
+	}
+	ids := make([]dfg.NodeID, 0, g.Len())
+	for _, n := range g.Nodes() {
+		ids = append(ids, n.ID)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		n := g.Node(id)
+		act := actionsByNode[id]
+		switch {
+		case n.IsLoop():
+			fmt.Fprintf(b, "    // folded loop %q: see submodule %s\n", n.Name, sanitize(n.Sub.Name))
+			fmt.Fprintf(b, "    assign %s = 32'd0; // placeholder port of the loop submodule\n", nm.wire(n.Name))
+		case len(n.Args) == 1:
+			fmt.Fprintf(b, "    assign %s = %s %s; // %s state %s\n",
+				nm.wire(n.Name), vOp(n.Op.String()), nm.wire(n.Args[0]), act.ALU, stateOfScan(c, id))
+		default:
+			fmt.Fprintf(b, "    assign %s = %s %s %s; // %s state %s\n",
+				nm.wire(n.Name), nm.wire(n.Args[0]), vOp(n.Op.String()), nm.wire(n.Args[1]),
+				act.ALU, stateOfScan(c, id))
+		}
+	}
+	fmt.Fprintf(b, "\n")
+}
+
+// stateOfScan names the first state, in state order, that issues id.
+func stateOfScan(c *ctrl.Controller, id dfg.NodeID) string {
+	for i, st := range c.States {
+		for _, act := range st.Actions {
+			if act.Node == id {
+				return fmt.Sprintf("S%d", i+1)
+			}
+		}
+	}
+	return "?"
+}
+
+type emitCase struct {
+	name string
+	g    *dfg.Graph
+	s    *sched.Schedule
+	dp   *rtl.Datapath
+	c    *ctrl.Controller
+}
+
+func synthCase(t testing.TB, name string, g *dfg.Graph, opt mfsa.Options) emitCase {
+	t.Helper()
+	res, err := mfsa.SynthesizeCtx(context.Background(), g, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	c, err := ctrl.Build(g, res.Schedule, res.Datapath)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return emitCase{name, g, res.Schedule, res.Datapath, c}
+}
+
+// genCase synthesizes a seeded random graph at its critical path plus
+// slack, the shape of the large designs the emitter must stay linear on.
+func genCase(t testing.TB, nodes int) emitCase {
+	t.Helper()
+	g, err := gen.Generate(gen.Config{Nodes: nodes, MulCycles: 2, Seed: int64(nodes)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return synthCase(t, fmt.Sprintf("gen%d", nodes), g, mfsa.Options{CS: g.CriticalPathCycles() + 4, NoTrace: true})
+}
+
+// foldedLoopCase emits a design whose loop node is a folded submodule:
+// the loop's twin operation is synthesized in its place, then its action
+// is removed from the controller, as the top-level FSM does not issue a
+// submodule's work.
+func foldedLoopCase(t *testing.T) emitCase {
+	t.Helper()
+	body := dfg.New("body")
+	body.AddInput("p")
+	body.AddInput("q")
+	body.AddOp("r", op.Mul, "p", "q")
+	build := func(loop bool) *dfg.Graph {
+		g := dfg.New("folded")
+		g.AddInput("x")
+		g.AddInput("y")
+		if loop {
+			if _, err := g.AddLoop("l", body, "r", map[string]string{"p": "x", "q": "y"}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			g.AddOp("l", op.Mul, "x", "y")
+		}
+		g.AddOp("u", op.Add, "l", "x")
+		g.AddOp("v", op.Neg, "u")
+		g.AddOp("w", op.Sub, "v", "y")
+		return g
+	}
+	ec := synthCase(t, "folded-loop", build(false), mfsa.Options{CS: 5})
+	ec.g = build(true)
+	ln, _ := ec.g.Lookup("l")
+	lid := ln.ID
+	for i := range ec.c.States {
+		acts := ec.c.States[i].Actions[:0]
+		for _, a := range ec.c.States[i].Actions {
+			if a.Node != lid {
+				acts = append(acts, a)
+			}
+		}
+		ec.c.States[i].Actions = acts
+	}
+	return ec
+}
+
+// TestVerilogMatchesScanOracle renders the six paper benchmarks (both
+// styles, functional pipelining where the example uses it), a folded-loop
+// design, a controller with an unissued node and a 2k-node generated
+// graph with Verilog and with the historical controller-scan emitter, and
+// requires identical bytes.
+func TestVerilogMatchesScanOracle(t *testing.T) {
+	var cases []emitCase
+	for _, ex := range benchmarks.All() {
+		cs := ex.TimeConstraints[0]
+		for _, style := range []mfsa.Style{mfsa.Style1, mfsa.Style2} {
+			opt := mfsa.Options{CS: cs, Style: style, ClockNs: ex.ClockNs}
+			cases = append(cases, synthCase(t, fmt.Sprintf("%s/style%d", ex.Name, style), ex.Graph, opt))
+			if ex.Latency != nil {
+				opt.Latency = ex.Latency(cs)
+				cases = append(cases, synthCase(t, fmt.Sprintf("%s/style%d/latency%d", ex.Name, style, opt.Latency), ex.Graph, opt))
+			}
+		}
+	}
+	cases = append(cases, foldedLoopCase(t))
+	// A controller that issues some node nowhere renders its state as "?".
+	unissued := synthCase(t, "unissued", benchmarks.Diffeq().Graph, mfsa.Options{CS: 6})
+	last := &unissued.c.States[len(unissued.c.States)-1]
+	last.Actions = last.Actions[1:]
+	cases = append(cases, unissued)
+	if !testing.Short() {
+		cases = append(cases, genCase(t, 2000))
+	}
+	pipelined, folded, unknown := false, false, false
+	for _, ec := range cases {
+		got := Verilog(ec.g, ec.s, ec.dp, ec.c)
+		want := verilogScan(ec.g, ec.s, ec.dp, ec.c)
+		if got != want {
+			gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := range gl {
+				if i >= len(wl) || gl[i] != wl[i] {
+					t.Fatalf("%s: line %d differs:\n got %q\nwant %q", ec.name, i+1, gl[i], wl[min(i, len(wl)-1)])
+				}
+			}
+			t.Fatalf("%s: netlists differ in length (%d vs %d bytes)", ec.name, len(got), len(want))
+		}
+		pipelined = pipelined || ec.c.Latency > 0
+		folded = folded || strings.Contains(got, "folded loop")
+		unknown = unknown || strings.Contains(got, " state ?\n")
+	}
+	if !pipelined || !folded || !unknown {
+		t.Fatalf("coverage: pipelined=%v folded=%v unissued=%v, want all", pipelined, folded, unknown)
+	}
+}
+
+func BenchmarkVerilog(b *testing.B) {
+	for _, nodes := range []int{2000, 8000} {
+		ec := genCase(b, nodes)
+		b.Run(fmt.Sprintf("gen%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Verilog(ec.g, ec.s, ec.dp, ec.c)
+			}
+		})
 	}
 }

@@ -17,91 +17,193 @@ type MuxOp struct {
 // L1 and L2 with |L1| + |L2| minimal. Non-commutative operations fix
 // their operands to their ports; each commutative operation may be
 // swapped. For up to exactSearchLimit commutative operations the
-// orientation space is searched exhaustively (branch and bound on the
-// running list sizes); beyond that a greedy pass with one improvement
-// sweep is used. The returned swapped slice parallels ops and reports
-// each operation's chosen orientation.
+// orientation space is searched exhaustively: the ALU's operand signals
+// are interned to dense indices (in order of first appearance in ops)
+// and a branch and bound over two port-membership slices and a running
+// size visits the orientations, the one adding fewer new signals first,
+// pruning once the size meets the best found. Beyond the limit a greedy
+// pass with one improvement sweep is used. The returned lists are
+// sorted; the swapped slice parallels ops and reports each operation's
+// chosen orientation.
 func OptimizeMuxLists(ops []MuxOp) (l1, l2 []string, swapped []bool) {
-	swapped = make([]bool, len(ops))
-	set1, set2 := map[string]bool{}, map[string]bool{}
-	var flex []int
-	for i, op := range ops {
-		switch {
-		case op.B == "":
-			set1[op.A] = true
-		case !op.Commutative:
-			set1[op.A] = true
-			set2[op.B] = true
-		default:
-			flex = append(flex, i)
-		}
-	}
-	if len(flex) <= exactSearchLimit {
-		best := 1 << 30
-		bestMask := 0
-		search(ops, flex, 0, 0, cloneSet(set1), cloneSet(set2), &best, &bestMask)
-		applyMask(ops, flex, bestMask, set1, set2, swapped)
-	} else {
-		greedyOrient(ops, flex, set1, set2, swapped)
-		improveOnce(ops, flex, set1, set2, swapped)
-	}
-	return sortedKeys(set1), sortedKeys(set2), swapped
+	var sc muxScratch
+	return sc.optimize(ops)
 }
 
 const exactSearchLimit = 16
 
-// search explores orientation assignments for flex[idx:], pruning when
-// the running size already meets the best found.
-func search(ops []MuxOp, flex []int, idx, mask int, s1, s2 map[string]bool, best *int, bestMask *int) {
-	if size := len(s1) + len(s2); size >= *best {
+// muxScratch holds the exact search's dense-index buffers. One value
+// serves every ALU of a ReoptimizeMuxes call; each optimize call resets
+// it.
+type muxScratch struct {
+	ids      map[string]int32 // signal → dense index
+	names    []string         // dense index → signal
+	in1, in2 []bool           // port membership, indexed by dense index
+	flex     []int            // indices into ops of the commutative binary ops
+	a, b     []int32          // flexible ops' operands, in flex order
+	best     int              // smallest |L1|+|L2| found so far
+	bestMask int              // orientations achieving best (bit k: flex op k swapped)
+}
+
+func (sc *muxScratch) optimize(ops []MuxOp) (l1, l2 []string, swapped []bool) {
+	swapped = make([]bool, len(ops))
+	if cap(sc.flex) < len(ops) {
+		sc.flex = make([]int, 0, len(ops))
+		sc.a, sc.b = make([]int32, 0, len(ops)), make([]int32, 0, len(ops))
+		sc.names = make([]string, 0, 2*len(ops))
+		sc.in1, sc.in2 = make([]bool, 0, 2*len(ops)), make([]bool, 0, 2*len(ops))
+	}
+	sc.flex = sc.flex[:0]
+	for i, op := range ops {
+		if op.B != "" && op.Commutative {
+			sc.flex = append(sc.flex, i)
+		}
+	}
+	flex := sc.flex
+	if len(flex) > exactSearchLimit {
+		set1, set2 := map[string]bool{}, map[string]bool{}
+		for _, op := range ops {
+			switch {
+			case op.B == "":
+				set1[op.A] = true
+			case !op.Commutative:
+				set1[op.A] = true
+				set2[op.B] = true
+			}
+		}
+		greedyOrient(ops, flex, set1, set2, swapped)
+		improveOnce(ops, flex, set1, set2, swapped)
+		return sortedKeys(set1), sortedKeys(set2), swapped
+	}
+
+	// Intern the operand signals, marking the fixed operands on their
+	// ports and collecting the flexible ops' operands in flex order.
+	if sc.ids == nil {
+		sc.ids = make(map[string]int32, 2*len(ops))
+	}
+	clear(sc.ids)
+	sc.names, sc.in1, sc.in2 = sc.names[:0], sc.in1[:0], sc.in2[:0]
+	intern := func(sig string) int32 {
+		id, ok := sc.ids[sig]
+		if !ok {
+			id = int32(len(sc.names))
+			sc.ids[sig] = id
+			sc.names = append(sc.names, sig)
+			sc.in1, sc.in2 = append(sc.in1, false), append(sc.in2, false)
+		}
+		return id
+	}
+	sc.a, sc.b = sc.a[:0], sc.b[:0]
+	size := 0
+	for _, op := range ops {
+		a := intern(op.A)
+		switch {
+		case op.B == "":
+			size += mark(sc.in1, a)
+		case !op.Commutative:
+			size += mark(sc.in1, a) + mark(sc.in2, intern(op.B))
+		default:
+			sc.a, sc.b = append(sc.a, a), append(sc.b, intern(op.B))
+		}
+	}
+	sc.best, sc.bestMask = 1<<30, 0
+	sc.search(0, 0, size)
+
+	// The search restores the fixed-operand membership; add the chosen
+	// orientations and read the lists off in dense order.
+	for k, i := range flex {
+		x, y := sc.a[k], sc.b[k]
+		if sc.bestMask&(1<<k) != 0 {
+			x, y = y, x
+			swapped[i] = true
+		}
+		sc.in1[x], sc.in2[y] = true, true
+	}
+	return sc.members(sc.in1), sc.members(sc.in2), swapped
+}
+
+// mark adds signal id to a port, reporting 1 if it was new.
+func mark(in []bool, id int32) int {
+	if in[id] {
+		return 0
+	}
+	in[id] = true
+	return 1
+}
+
+// members returns the sorted names of the signals on a port (non-nil,
+// as sortedKeys returns).
+func (sc *muxScratch) members(in []bool) []string {
+	n := 0
+	for _, ok := range in {
+		if ok {
+			n++
+		}
+	}
+	out := make([]string, 0, n)
+	for id, ok := range in {
+		if ok {
+			out = append(out, sc.names[id])
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// search explores orientation assignments for flexible ops idx onward,
+// pruning when the running size already meets the best found. It
+// mutates in1/in2 on the way down and restores them on the way up.
+//
+//hls:noalloc
+func (sc *muxScratch) search(idx, mask, size int) {
+	if size >= sc.best {
 		return // cannot improve: sizes only grow
 	}
-	if idx == len(flex) {
-		*best = len(s1) + len(s2)
-		*bestMask = mask
+	if idx == len(sc.a) {
+		sc.best, sc.bestMask = size, mask
 		return
 	}
-	op := ops[flex[idx]]
+	a, b := sc.a[idx], sc.b[idx]
 	// Try the orientation that adds fewer new signals first.
-	direct := addCount(s1, op.A) + addCount(s2, op.B)
-	crossed := addCount(s1, op.B) + addCount(s2, op.A)
-	order := []bool{false, true}
-	if crossed < direct {
-		order = []bool{true, false}
-	}
-	for _, swap := range order {
-		a, b := op.A, op.B
-		if swap {
-			a, b = b, a
-		}
-		added1 := !s1[a]
-		added2 := !s2[b]
-		s1[a], s2[b] = true, true
+	direct := sc.cost(sc.in1, a) + sc.cost(sc.in2, b)
+	crossed := sc.cost(sc.in1, b) + sc.cost(sc.in2, a)
+	swapFirst := crossed < direct
+	for k := 0; k < 2; k++ {
+		swap := swapFirst != (k == 1)
+		x, y := a, b
 		m := mask
 		if swap {
+			x, y = b, a
 			m |= 1 << idx
 		}
-		search(ops, flex, idx+1, m, s1, s2, best, bestMask)
+		added1, added2 := !sc.in1[x], !sc.in2[y]
+		sc.in1[x], sc.in2[y] = true, true
+		grown := size
 		if added1 {
-			delete(s1, a)
+			grown++
 		}
 		if added2 {
-			delete(s2, b)
+			grown++
+		}
+		sc.search(idx+1, m, grown)
+		if added1 {
+			sc.in1[x] = false
+		}
+		if added2 {
+			sc.in2[y] = false
 		}
 	}
 }
 
-func applyMask(ops []MuxOp, flex []int, mask int, s1, s2 map[string]bool, swapped []bool) {
-	for idx, i := range flex {
-		swap := mask&(1<<idx) != 0
-		swapped[i] = swap
-		a, b := ops[i].A, ops[i].B
-		if swap {
-			a, b = b, a
-		}
-		s1[a] = true
-		s2[b] = true
+// cost is 1 when putting signal id on a port would add a new signal
+// there, ranking the two orientations; "" never counts.
+//
+//hls:noalloc
+func (sc *muxScratch) cost(in []bool, id int32) int {
+	if in[id] || sc.names[id] == "" {
+		return 0
 	}
+	return 1
 }
 
 func greedyOrient(ops []MuxOp, flex []int, s1, s2 map[string]bool, swapped []bool) {
@@ -204,40 +306,11 @@ func improveOnce(ops []MuxOp, flex []int, s1, s2 map[string]bool, swapped []bool
 	}
 }
 
-func rebuildSize(ops []MuxOp, flex []int, swapped []bool) int {
-	s1, s2 := map[string]bool{}, map[string]bool{}
-	for i, op := range ops {
-		switch {
-		case op.B == "":
-			s1[op.A] = true
-		case !op.Commutative:
-			s1[op.A] = true
-			s2[op.B] = true
-		default:
-			a, b := op.A, op.B
-			if swapped[i] {
-				a, b = b, a
-			}
-			s1[a] = true
-			s2[b] = true
-		}
-	}
-	return len(s1) + len(s2)
-}
-
 func addCount(s map[string]bool, sig string) int {
 	if sig == "" || s[sig] {
 		return 0
 	}
 	return 1
-}
-
-func cloneSet(s map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
 }
 
 func sortedKeys(s map[string]bool) []string {
@@ -256,6 +329,7 @@ func sortedKeys(s map[string]bool) []string {
 // and commutativity.
 func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
 	saved := 0
+	var sc muxScratch
 	for _, a := range d.ALUs {
 		ops := make([]MuxOp, len(a.Ops))
 		for i, b := range a.Ops {
@@ -267,7 +341,7 @@ func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
 			ops[i] = op
 		}
 		before := len(a.L1) + len(a.L2)
-		l1, l2, swapped := OptimizeMuxLists(ops)
+		l1, l2, swapped := sc.optimize(ops)
 		after := len(l1) + len(l2)
 		if after > before {
 			continue // never regress (cannot happen, but stay safe)

@@ -215,3 +215,196 @@ func TestImproveOnceMatchesScanOracle(t *testing.T) {
 		}
 	}
 }
+
+func rebuildSize(ops []MuxOp, flex []int, swapped []bool) int {
+	s1, s2 := map[string]bool{}, map[string]bool{}
+	for i, op := range ops {
+		switch {
+		case op.B == "":
+			s1[op.A] = true
+		case !op.Commutative:
+			s1[op.A] = true
+			s2[op.B] = true
+		default:
+			a, b := op.A, op.B
+			if swapped[i] {
+				a, b = b, a
+			}
+			s1[a] = true
+			s2[b] = true
+		}
+	}
+	return len(s1) + len(s2)
+}
+
+// optimizeMuxListsMap is the historical OptimizeMuxLists: the exact
+// search runs on string-keyed sets, assigning and deleting map entries
+// at every branch-and-bound node. It is the oracle the dense-index
+// search must match list for list and orientation for orientation.
+func optimizeMuxListsMap(ops []MuxOp) (l1, l2 []string, swapped []bool) {
+	swapped = make([]bool, len(ops))
+	set1, set2 := map[string]bool{}, map[string]bool{}
+	var flex []int
+	for i, op := range ops {
+		switch {
+		case op.B == "":
+			set1[op.A] = true
+		case !op.Commutative:
+			set1[op.A] = true
+			set2[op.B] = true
+		default:
+			flex = append(flex, i)
+		}
+	}
+	if len(flex) <= exactSearchLimit {
+		best := 1 << 30
+		bestMask := 0
+		searchMap(ops, flex, 0, 0, cloneSet(set1), cloneSet(set2), &best, &bestMask)
+		for idx, i := range flex {
+			swap := bestMask&(1<<idx) != 0
+			swapped[i] = swap
+			a, b := ops[i].A, ops[i].B
+			if swap {
+				a, b = b, a
+			}
+			set1[a] = true
+			set2[b] = true
+		}
+	} else {
+		greedyOrient(ops, flex, set1, set2, swapped)
+		improveOnce(ops, flex, set1, set2, swapped)
+	}
+	return sortedKeys(set1), sortedKeys(set2), swapped
+}
+
+func searchMap(ops []MuxOp, flex []int, idx, mask int, s1, s2 map[string]bool, best *int, bestMask *int) {
+	if size := len(s1) + len(s2); size >= *best {
+		return
+	}
+	if idx == len(flex) {
+		*best = len(s1) + len(s2)
+		*bestMask = mask
+		return
+	}
+	op := ops[flex[idx]]
+	direct := addCount(s1, op.A) + addCount(s2, op.B)
+	crossed := addCount(s1, op.B) + addCount(s2, op.A)
+	order := []bool{false, true}
+	if crossed < direct {
+		order = []bool{true, false}
+	}
+	for _, swap := range order {
+		a, b := op.A, op.B
+		if swap {
+			a, b = b, a
+		}
+		added1 := !s1[a]
+		added2 := !s2[b]
+		s1[a], s2[b] = true, true
+		m := mask
+		if swap {
+			m |= 1 << idx
+		}
+		searchMap(ops, flex, idx+1, m, s1, s2, best, bestMask)
+		if added1 {
+			delete(s1, a)
+		}
+		if added2 {
+			delete(s2, b)
+		}
+	}
+}
+
+func cloneSet(s map[string]bool) map[string]bool {
+	c := make(map[string]bool, len(s))
+	for k := range s {
+		c[k] = true
+	}
+	return c
+}
+
+// randomMuxProblem draws one ALU's operand set: nFlex commutative binary
+// ops among nFixed unary and non-commutative ones, over a pool of sigs
+// signals (small pools force duplicates and signals shared between the
+// ports). An occasional empty first operand checks that "" is carried
+// as a signal but never ranks an orientation, as in the string search.
+func randomMuxProblem(rng *rand.Rand, nFlex, nFixed, sigs int) []MuxOp {
+	sig := func() string { return fmt.Sprintf("s%d", rng.Intn(sigs)) }
+	ops := make([]MuxOp, 0, nFlex+nFixed)
+	for i := 0; i < nFlex; i++ {
+		op := MuxOp{A: sig(), B: sig(), Commutative: true}
+		if rng.Intn(8) == 0 {
+			op.A = ""
+		}
+		ops = append(ops, op)
+	}
+	for i := 0; i < nFixed; i++ {
+		switch rng.Intn(3) {
+		case 0:
+			ops = append(ops, MuxOp{A: sig()})
+		case 1:
+			ops = append(ops, MuxOp{A: sig(), B: sig()})
+		default:
+			// Commutative unary: fixed on port 1 despite the flag.
+			ops = append(ops, MuxOp{A: sig(), Commutative: true})
+		}
+	}
+	rng.Shuffle(len(ops), func(i, j int) { ops[i], ops[j] = ops[j], ops[i] })
+	return ops
+}
+
+// TestOptimizeMuxListsMatchesMapOracle drives seeded orientation
+// problems — 0 to exactSearchLimit commutative ops with duplicate and
+// shared signals, unary and non-commutative ops mixed in, plus large
+// ALUs with hundreds of fixed signals — through the dense-index search
+// and the historical string-set search and requires identical lists and
+// orientations. A shared scratch (as ReoptimizeMuxes uses one) must
+// give the same answers as a fresh one.
+func TestOptimizeMuxListsMatchesMapOracle(t *testing.T) {
+	var shared muxScratch
+	check := func(name string, ops []MuxOp) {
+		t.Helper()
+		w1, w2, wsw := optimizeMuxListsMap(ops)
+		g1, g2, gsw := OptimizeMuxLists(ops)
+		s1, s2, ssw := shared.optimize(ops)
+		for _, got := range []struct {
+			l1, l2 []string
+			sw     []bool
+		}{{g1, g2, gsw}, {s1, s2, ssw}} {
+			if fmt.Sprint(got.l1) != fmt.Sprint(w1) || fmt.Sprint(got.l2) != fmt.Sprint(w2) {
+				t.Fatalf("%s: lists %v / %v, oracle %v / %v (ops %+v)", name, got.l1, got.l2, w1, w2, ops)
+			}
+			if (got.l1 == nil) != (w1 == nil) || (got.l2 == nil) != (w2 == nil) {
+				t.Fatalf("%s: nil-ness of lists differs from oracle", name)
+			}
+			for i := range wsw {
+				if got.sw[i] != wsw[i] {
+					t.Fatalf("%s: orientation %d = %v, oracle %v (ops %+v)", name, i, got.sw[i], wsw[i], ops)
+				}
+			}
+		}
+	}
+	for seed := int64(0); seed < 240; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nFlex := int(seed) % (exactSearchLimit + 1)
+		if nFlex > 12 && rng.Intn(2) == 0 {
+			nFlex = rng.Intn(13) // keep most 2^16 cases for the large block below
+		}
+		check(fmt.Sprintf("seed %d", seed), randomMuxProblem(rng, nFlex, rng.Intn(8), 2+rng.Intn(10)))
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(1000 + seed))
+		// Hundreds of fixed signals, few of them shared with the flexible
+		// ops, and a full exactSearchLimit of flexible ops.
+		ops := randomMuxProblem(rng, 0, 300+rng.Intn(200), 400)
+		for i := 0; i < exactSearchLimit; i++ {
+			ops = append(ops, MuxOp{
+				A:           fmt.Sprintf("s%d", rng.Intn(24)),
+				B:           fmt.Sprintf("s%d", rng.Intn(24)),
+				Commutative: true,
+			})
+		}
+		check(fmt.Sprintf("large seed %d", seed), ops)
+	}
+	check("empty", nil)
+}
